@@ -5,31 +5,20 @@ Every instrumentation point added by :mod:`repro.obs` guards on
 point and nothing else. This benchmark times the hottest instrumented
 path — a warm 100-cell sweep, pure memo lookups wrapped in would-be
 ``session.sweep`` / ``cell.verdict`` spans — with the default disabled
-tracer, and asserts the median against the committed baseline in
-``BENCH_baseline.json`` (skipped when no baseline entry exists yet, so
-new machines can record one first). A regression here means an
+tracer, and gates the median against the committed ``BENCH_baseline.json``
+entry (:mod:`_gate`; skipped when no baseline entry exists yet, so new
+machines can record one first). A regression here means an
 instrumentation point started doing work while disabled.
 """
 
-import json
-import os
-
-import pytest
-
+from _gate import check_baseline
 from repro.cone import ModelCone
 from repro.obs import get_tracer
 from repro.pipeline import CounterPoint
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BASELINE_PATH = os.path.join(REPO_ROOT, "BENCH_baseline.json")
 BASELINE_KEY = (
     "benchmarks/test_obs_overhead.py::test_warm_sweep_tracing_disabled"
 )
-
-#: Headroom over the committed baseline median before the assertion
-#: fires: CI machines vary widely, the *shape* of a regression (a
-#: disabled instrumentation point doing real work) does not.
-BASELINE_FACTOR = 25.0
 
 
 class Obs:
@@ -39,14 +28,6 @@ class Obs:
 
     def point(self):
         return dict(self._point)
-
-
-def _baseline_median():
-    try:
-        with open(BASELINE_PATH, "r", encoding="utf-8") as handle:
-            return json.load(handle).get(BASELINE_KEY)
-    except (OSError, ValueError):
-        return None
 
 
 def test_warm_sweep_tracing_disabled(benchmark):
@@ -60,11 +41,4 @@ def test_warm_sweep_tracing_disabled(benchmark):
         assert get_tracer().enabled is False
         result = benchmark(pipeline.sweep, cone, observations)
     assert result.feasible
-    baseline = _baseline_median()
-    if baseline is None:
-        pytest.skip("no committed baseline for %s" % BASELINE_KEY)
-    assert benchmark.stats.stats.median < baseline * BASELINE_FACTOR, (
-        "warm traced-but-disabled sweep regressed: median %.6fs vs "
-        "baseline %.6fs (x%.0f allowed)"
-        % (benchmark.stats.stats.median, baseline, BASELINE_FACTOR)
-    )
+    check_baseline(benchmark, BASELINE_KEY)

@@ -6,31 +6,20 @@ queue, fair scheduler, claim table — costs queue hops, not recompute:
 
 * a *warm* submit→result round trip computes zero cells, so its p50 is
   pure serve overhead (two queue hops plus memo lookups); the median is
-  asserted against the committed ``BENCH_baseline.json`` entry (skipped
-  when no baseline exists yet, so new machines can record one first);
+  gated against the committed ``BENCH_baseline.json`` entry
+  (:mod:`_gate`; skipped when no baseline exists yet);
 * eight tenants submitting the *same* plan concurrently share one task
   space: the LP runs once per unique cell no matter how many jobs
   requested it, and the per-tenant dedup hit-rate proves most requested
   cells were served from shared work.
 """
 
-import json
-import os
 import threading
 import time
 
-import pytest
-
+from _gate import check_baseline
 from repro.plan import Plan
 from repro.serve import PlanService
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BASELINE_PATH = os.path.join(REPO_ROOT, "BENCH_baseline.json")
-
-#: Headroom over the committed baseline median: CI machines vary, the
-#: shape of a regression (a warm submit recomputing cells, or a queue
-#: hop growing a sleep) does not.
-BASELINE_FACTOR = 25.0
 
 #: Unique cells in :func:`_campaign` after global deduplication (14
 #: are requested across its four ops).
@@ -54,14 +43,6 @@ def _campaign():
         seed=0, explain=True, op_id="matrix",
     )
     return plan
-
-
-def _baseline_median(key):
-    try:
-        with open(BASELINE_PATH, "r", encoding="utf-8") as handle:
-            return json.load(handle).get(key)
-    except (OSError, ValueError):
-        return None
 
 
 def _wait_done(service, job_id, timeout=120.0):
@@ -92,14 +73,7 @@ def test_warm_submit_to_result_p50(benchmark):
         # Only the cold submit ever touched the LP: every benchmark
         # round was served entirely from the shared task space.
         assert service.session.stats.tests == UNIQUE_CELLS
-    baseline = _baseline_median(key)
-    if baseline is None:
-        pytest.skip("no committed baseline for %s" % key)
-    assert benchmark.stats.stats.median < baseline * BASELINE_FACTOR, (
-        "warm submit->result regressed: median %.6fs vs baseline %.6fs "
-        "(x%.0f allowed)"
-        % (benchmark.stats.stats.median, baseline, BASELINE_FACTOR)
-    )
+    check_baseline(benchmark, key)
 
 
 def test_eight_concurrent_identical_plans_dedup(benchmark):
@@ -152,11 +126,4 @@ def test_eight_concurrent_identical_plans_dedup(benchmark):
             service.close()
 
     benchmark.pedantic(submit_batch, setup=fresh_service, rounds=3)
-    baseline = _baseline_median(key)
-    if baseline is None:
-        pytest.skip("no committed baseline for %s" % key)
-    assert benchmark.stats.stats.median < baseline * BASELINE_FACTOR, (
-        "8-way concurrent dedup batch regressed: median %.6fs vs "
-        "baseline %.6fs (x%.0f allowed)"
-        % (benchmark.stats.stats.median, baseline, BASELINE_FACTOR)
-    )
+    check_baseline(benchmark, key)

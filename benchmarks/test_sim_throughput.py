@@ -17,12 +17,9 @@ bit-identical totals and the best one must clear a hard speedup bar
 over the interpreter at bench scale (``test_sim_codegen_speedup``).
 """
 
-import json
-import os
 import time
 
-import pytest
-
+from _gate import check_baseline
 from repro.models import M_SERIES
 from repro.models.bundled import load_bundled_model
 from repro.models.haswell import ALL_COUNTERS, build_haswell_mudd
@@ -30,33 +27,6 @@ from repro.sim import MMUOracle, MuDDExecutor, RandomOracle, batch_simulate
 from repro.workloads import LinearAccessWorkload
 
 MERGE_WEIGHTS = {"Merged": {"Yes": 3.0, "No": 1.0}}
-
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_BASELINE_PATH = os.path.join(_REPO_ROOT, "BENCH_baseline.json")
-
-#: Headroom over the committed baseline median before the gate fires —
-#: CI machines vary widely; the shape of a real regression (a compiled
-#: backend degrading to interpreter speed) does not.
-_BASELINE_FACTOR = 25.0
-
-
-def _check_baseline(benchmark, key):
-    """Gate a backend benchmark against its ``BENCH_baseline.json``
-    entry (skipped when no baseline exists, so new machines record one
-    first)."""
-    try:
-        with open(_BASELINE_PATH, "r", encoding="utf-8") as handle:
-            baseline = json.load(handle).get(key)
-    except (OSError, ValueError):
-        baseline = None
-    if baseline is None:
-        pytest.skip("no committed baseline for %s" % key)
-    median = benchmark.stats.stats.median
-    assert median < baseline * _BASELINE_FACTOR, (
-        "%s regressed: median %.6fs vs baseline %.6fs (x%.0f allowed)"
-        % (key, median, baseline, _BASELINE_FACTOR)
-    )
-
 
 def test_sim_throughput_batched_traces(benchmark):
     """>= 100 independent 100k-µop traces of a bundled model per call."""
@@ -120,7 +90,7 @@ def test_sim_throughput_random_oracle_vector(benchmark):
     executor = benchmark(_backend_run, mudd, "vector")
     assert executor.n_uops == 20000
     assert executor.snapshot() == _backend_run(mudd, "interpreter").snapshot()
-    _check_baseline(
+    check_baseline(
         benchmark,
         "benchmarks/test_sim_throughput.py::"
         "test_sim_throughput_random_oracle_vector",
@@ -133,7 +103,7 @@ def test_sim_throughput_random_oracle_codegen(benchmark):
     executor = benchmark(_backend_run, mudd, "codegen")
     assert executor.n_uops == 20000
     assert executor.snapshot() == _backend_run(mudd, "interpreter").snapshot()
-    _check_baseline(
+    check_baseline(
         benchmark,
         "benchmarks/test_sim_throughput.py::"
         "test_sim_throughput_random_oracle_codegen",

@@ -38,7 +38,7 @@ merging_load_side --weight Merged=Yes:3 --analyze no_merging_load_side``
 """
 
 from repro.pipeline import CounterPoint
-from repro.cone import DiskConeCache, ModelCone
+from repro.cone import ModelCone
 from repro.dsl import compile_dsl
 from repro.mudd import MuDD
 from repro.obs import MetricsRegistry, Tracer, activate, get_tracer, traced
@@ -81,7 +81,6 @@ __all__ = [
     "CompareResult",
     "ConfidenceRegion",
     "CounterPoint",
-    "DiskConeCache",
     "MMUOracle",
     "MetricsRegistry",
     "ModelCone",

@@ -57,8 +57,8 @@ Commands
 
 Shared performance flags (``analyze``, ``sweep``, ``compare``,
 ``simulate``, ``case-study``, ``run``): ``--cache-dir DIR`` persists
-model cones *and* feasibility verdicts on disk
-(:mod:`repro.cone.diskcache`, :mod:`repro.results.store`) — deduction
+model cones *and* feasibility verdicts on disk, in one JSON artifact
+store at ``DIR/artifacts`` (:mod:`repro.results.store`) — deduction
 and verdicts run once per content ever, shared across runs and
 processes; ``--workers N`` shards dataset sweeps across a process pool
 (:mod:`repro.parallel`). The analysis commands (``analyze``, ``sweep``,
@@ -704,9 +704,9 @@ def _add_runtime_flags(subparser, workers_help):
     )
     subparser.add_argument(
         "--cache-dir", metavar="DIR", default=None,
-        help="persistent on-disk model-cone cache: deduced cones are "
-             "stored here and reused across runs and processes "
-             "(computed once per model, ever)")
+        help="persistent on-disk cache (an artifact store at "
+             "DIR/artifacts): deduced cones and verdicts are stored here "
+             "and reused across runs and processes (computed once, ever)")
 
 
 def _add_trace_flags(subparser):
@@ -760,7 +760,8 @@ def build_parser():
     constraints.add_argument("model", help="DSL model file")
     constraints.add_argument(
         "--cache-dir", metavar="DIR", default=None,
-        help="persistent on-disk model-cone cache (reused across runs)")
+        help="persistent on-disk cache of deduced cones, at DIR/artifacts "
+             "(reused across runs)")
     constraints.set_defaults(handler=cmd_constraints)
 
     analyze = commands.add_parser(

@@ -28,7 +28,6 @@ from repro.cone.cache import (
     mudd_fingerprint,
     shared_cache,
 )
-from repro.cone.diskcache import CACHE_FORMAT_VERSION, DiskConeCache
 from repro.cone.constraints import ConstraintSet, ModelConstraint, deduce_constraints
 from repro.cone.feasibility import (
     FeasibilityResult,
@@ -40,9 +39,7 @@ from repro.cone.violations import Violation, identify_violations
 from repro.cone.certificates import separating_constraint
 
 __all__ = [
-    "CACHE_FORMAT_VERSION",
     "ConstraintSet",
-    "DiskConeCache",
     "FeasibilityResult",
     "ModelCone",
     "ModelConeCache",

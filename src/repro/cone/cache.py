@@ -23,6 +23,7 @@ as :func:`repro.sim.scenarios.closed_loop`.
 """
 
 import hashlib
+import os
 import threading
 from collections import OrderedDict
 
@@ -89,8 +90,9 @@ class ModelConeCache:
     between threads (the serve daemon runs concurrent jobs against one
     pipeline); sharing across :class:`CounterPoint` instances is safe
     because cached cones are treated as immutable by all callers. The
-    *disk* tier (:class:`repro.cone.diskcache.DiskConeCache`) is safe
-    to share between concurrent processes — pool workers warming one
+    *disk* tier is an :class:`~repro.results.store.ArtifactStore`
+    holding cones as JSON artifacts of kind ``"cone"``; it is safe to
+    share between concurrent processes — pool workers warming one
     directory each publish entries atomically.
 
     Parameters
@@ -98,11 +100,12 @@ class ModelConeCache:
     maxsize:
         In-memory LRU entry cap.
     disk:
-        Persistent tier: a :class:`~repro.cone.diskcache.DiskConeCache`,
+        Persistent tier: an :class:`~repro.results.store.ArtifactStore`,
         or a directory path to build one over, or ``None`` (memory
         only). Lookup order is memory → disk → build; builds and
         memory-tier misses that hit disk both populate the memory tier,
-        and builds are published to disk.
+        and builds are published to disk. A disk entry that does not
+        decode is discarded and rebuilt, never trusted.
     """
 
     def __init__(self, maxsize=128, disk=None):
@@ -114,10 +117,15 @@ class ModelConeCache:
         self.hits = 0
         self.misses = 0
         self.builds = 0
-        if disk is not None and not hasattr(disk, "get"):
-            from repro.cone.diskcache import DiskConeCache
+        # Hits served by the persistent tier (the store's own counters
+        # cover every artifact kind sharing it).
+        self.disk_hits = 0
+        if disk is not None:
+            # Imported here: repro.results imports repro.cone.
+            from repro.results.store import ArtifactStore
 
-            disk = DiskConeCache(disk)
+            if not isinstance(disk, ArtifactStore):
+                disk = ArtifactStore(disk)
         self.disk = disk
         # Keys whose disk copy was written before constraint deduction
         # ran; rewritten on a later hit so the deduction persists too.
@@ -126,21 +134,34 @@ class ModelConeCache:
     def __len__(self):
         return len(self._entries)
 
-    @property
-    def disk_hits(self):
-        """Hits served by the persistent tier (0 without one)."""
-        return self.disk.hits if self.disk is not None else 0
-
     def _remember(self, key, cone):
         self._entries[key] = cone
         if len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
 
+    def _load(self, key):
+        """The disk tier's cone for ``key``, or ``None``; an artifact
+        whose payload does not decode is dropped (a miss, then a
+        rebuild that overwrites it)."""
+        disk_key = self.disk.key(*key)
+        payload = self.disk.get("cone", disk_key)
+        if payload is None:
+            return None
+        try:
+            cone = ModelCone.from_dict(payload)
+        except Exception:
+            # A valid envelope around a foreign payload: never trust
+            # it, never crash on it.
+            self.disk.discard("cone", disk_key)
+            return None
+        self.disk_hits += 1
+        return cone
+
     def _write_back(self, key, cone):
         """Persist ``cone``; track whether its deduction is still due."""
         if self.disk is None:
             return
-        self.disk.put(key, cone)
+        self.disk.put("cone", self.disk.key(*key), cone.to_dict())
         if cone.has_deduced_constraints():
             self._undeduced.discard(key)
         else:
@@ -168,7 +189,7 @@ class ModelConeCache:
             self.misses += 1
             cone = None
             if self.disk is not None:
-                cone = self.disk.get(key)
+                cone = self._load(key)
                 if cone is not None and not cone.has_deduced_constraints():
                     # The disk copy predates deduction; if this process
                     # (or a later one through us) deduces, persist that
@@ -191,6 +212,7 @@ class ModelConeCache:
             self.hits = 0
             self.misses = 0
             self.builds = 0
+            self.disk_hits = 0
 
     def __repr__(self):
         return "ModelConeCache(%d/%d entries, %d hits, %d misses, %d builds%s)" % (
@@ -199,7 +221,7 @@ class ModelConeCache:
             self.hits,
             self.misses,
             self.builds,
-            ", disk=%r" % (self.disk.cache_dir,) if self.disk is not None else "",
+            ", disk=%r" % (self.disk.root,) if self.disk is not None else "",
         )
 
 
@@ -210,9 +232,9 @@ _dir_caches = {}
 def get_model_cone(mudd, counters=None, max_paths=2000000, cache_dir=None):
     """Fetch ``mudd``'s model cone from the process-wide default cache.
 
-    With ``cache_dir`` the lookup goes through a disk-backed cache over
-    that directory instead (one shared instance per directory per
-    process), so cones persist across runs and processes.
+    With ``cache_dir`` the lookup goes through that directory's
+    disk-backed cache instead (:func:`shared_cache`), so cones persist
+    across runs and processes.
     """
     if cache_dir is not None:
         return shared_cache(cache_dir).get(
@@ -223,13 +245,18 @@ def get_model_cone(mudd, counters=None, max_paths=2000000, cache_dir=None):
 
 def shared_cache(cache_dir):
     """The process-wide disk-backed :class:`ModelConeCache` over
-    ``cache_dir`` (one instance per normalised directory path)."""
-    import os
+    ``cache_dir`` (one instance per normalised directory path).
 
+    Its disk tier is the directory's one artifact store,
+    ``<cache_dir>/artifacts``; :class:`~repro.pipeline.CounterPoint`
+    hands the same store instance to its session for verdicts.
+    """
     key = os.path.abspath(os.fspath(cache_dir))
     cache = _dir_caches.get(key)
     if cache is None:
-        cache = _dir_caches[key] = ModelConeCache(disk=key)
+        cache = _dir_caches[key] = ModelConeCache(
+            disk=os.path.join(key, "artifacts")
+        )
     return cache
 
 

@@ -95,8 +95,13 @@ class ModelConstraint:
     def from_dict(cls, data):
         from repro.geometry.halfspace import ConeConstraint
 
-        kind = EQUALITY if data["kind"] == "eq" else INEQUALITY
-        return cls(ConeConstraint(data["normal"], kind), data["counters"])
+        kind = {"eq": EQUALITY, "ge": INEQUALITY}[data["kind"]]
+        normal = data["normal"]
+        if not isinstance(normal, list) or not all(
+            type(value) is int for value in normal
+        ):
+            raise AnalysisError("constraint normal must be integers, got %r" % (normal,))
+        return cls(ConeConstraint(normal, kind), data["counters"])
 
     def __eq__(self, other):
         if not isinstance(other, ModelConstraint):

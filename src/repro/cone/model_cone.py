@@ -170,13 +170,62 @@ class ModelCone:
         return self._flow_model
 
     # -- serialisation ----------------------------------------------------
+    def to_dict(self):
+        """JSON record of the cone — the persistent cone tier's payload.
+
+        Signatures are the cone's integer rows aligned to ``counters``
+        (as :meth:`from_mudd` builds them); deduced constraints are
+        :meth:`ModelConstraint.to_dict` records, or ``None`` when
+        deduction has not run yet.
+        """
+        constraints = None
+        if self._constraints is not None:
+            constraints = [record.to_dict() for record in self._constraints]
+        return {
+            "name": self.name,
+            "counters": list(self.counters),
+            "signatures": [list(row) for row in self.signatures],
+            "multiplicities": self.multiplicities,
+            "constraints": constraints,
+        }
+
+    @classmethod
+    def from_dict(cls, data):
+        """Inverse of :meth:`to_dict`.
+
+        The record may come from a shared cache directory, so it is
+        checked, not trusted: anything but exactly the :meth:`to_dict`
+        shape raises (``KeyError``/``TypeError``/``ReproError``) and the
+        caller treats the entry as a miss.
+        """
+        from repro.cone.constraints import ConstraintSet, ModelConstraint
+
+        name = data["name"]
+        counters = data["counters"]
+        if not isinstance(name, str) or not isinstance(counters, list) \
+                or not all(isinstance(counter, str) for counter in counters):
+            raise AnalysisError("cone record needs a name and counter names")
+        signatures = [
+            _checked_row(row, len(counters)) for row in data["signatures"]
+        ]
+        multiplicities = data["multiplicities"]
+        if multiplicities is not None:
+            multiplicities = _checked_row(multiplicities, len(signatures))
+        cone = cls(counters, signatures, name=name, multiplicities=multiplicities)
+        if data["constraints"] is not None:
+            records = [ModelConstraint.from_dict(r) for r in data["constraints"]]
+            if any(record.counters != cone.counters for record in records):
+                raise AnalysisError("cone record constraint over other counters")
+            cone._constraints = ConstraintSet(records, cone.counters)
+        return cone
+
     def __getstate__(self):
         """Pickle everything except process-local accelerators.
 
         The persistent HiGHS flow model wraps a C++ handle and cannot
-        cross process or disk boundaries; the float signature array is
-        cheap to rebuild. Deduced constraints *are* kept — they are the
-        expensive artefact the on-disk cache exists to preserve.
+        cross process boundaries; the float signature array is cheap to
+        rebuild. Deduced constraints *are* kept — they are the
+        expensive artefact pool workers ship back.
         """
         state = dict(self.__dict__)
         state["_flow_model"] = None
@@ -200,3 +249,14 @@ class ModelCone:
             len(self.counters),
             len(self.signatures),
         )
+
+
+def _checked_row(row, width):
+    """A decoded record row: a list of ``width`` non-negative ints."""
+    if not isinstance(row, list) or len(row) != width or not all(
+        type(value) is int and value >= 0 for value in row
+    ):
+        raise AnalysisError(
+            "cone record row %r is not %d non-negative integers" % (row, width)
+        )
+    return row

@@ -18,10 +18,11 @@ pool — this package supplies the shared machinery:
   :func:`parallel_simulate_dataset`, and
   :func:`parallel_closed_loop`.
 
-Workers coordinate through the persistent on-disk cone cache
-(:mod:`repro.cone.diskcache`): give every worker the same ``cache_dir``
-and a model's µpath enumeration/constraint deduction runs in exactly
-one process, ever — the others load the pickled cone.
+Workers coordinate through the persistent artifact store
+(:mod:`repro.results.store`, at ``<cache_dir>/artifacts``): give every
+worker the same ``cache_dir`` and a model's µpath
+enumeration/constraint deduction runs in exactly one process, ever —
+the others load the cone's JSON artifact.
 
 Determinism: every parallel entry point produces *identical* results to
 its serial counterpart. Simulation seeds are split per cell exactly as

@@ -73,9 +73,9 @@ class ParallelRunner:
         Pool size; ``None`` means ``os.cpu_count()``. ``1`` disables
         the pool entirely (pure serial execution, nothing pickled).
     cache_dir:
-        Persistent cone-cache directory handed to workers that build
-        model cones, so deduction work is shared instead of repeated
-        per worker (see :mod:`repro.cone.diskcache`).
+        Persistent cache directory handed to workers that build model
+        cones, so deduction work is shared instead of repeated per
+        worker (its artifact store, see :mod:`repro.results.store`).
     chunk_size:
         Cells per dispatched chunk; ``None`` picks ``ceil(n_cells /
         (4 * workers))`` — large enough to amortise IPC, small enough

@@ -9,11 +9,10 @@ Worker results come back as :mod:`repro.results` schema dicts, not
 pickled ad-hoc objects: the wire format between pool processes is the
 same stable JSON-serializable schema the result layer persists and
 renders.
-Workers that build model cones coordinate through the shared on-disk
-cone cache (``cache_dir``) so expensive deduction happens in exactly
-one process, and workers that test feasibility coordinate through the
-session artifact store under the same directory so memoized verdicts
-are never recomputed anywhere.
+Workers coordinate through the one artifact store under ``cache_dir``:
+those that build model cones share deduced cones, so expensive
+deduction happens in exactly one process, and those that test
+feasibility share memoized verdicts, so none is recomputed anywhere.
 
 The high-level functions (:func:`parallel_sweep`,
 :func:`parallel_cross_refute`, :func:`parallel_simulate_dataset`,

@@ -62,14 +62,13 @@ class CounterPoint:
         — same seeds, same ordering, same verdicts (see
         :mod:`repro.parallel`).
     cache_dir:
-        Directory for the persistent tiers: the on-disk cone cache
-        (:mod:`repro.cone.diskcache`; cones and their deduced
-        constraints computed once per model *ever*) and the session's
-        verdict artifact store (``<cache_dir>/artifacts`` — see
-        :mod:`repro.results.store`), both shared between pool workers
-        and across runs. Requires the default ``cache=True`` (to
-        combine a custom cache with a disk tier, pass
-        ``cache=ModelConeCache(disk=cache_dir)`` instead).
+        Directory for the persistent tier: one artifact store at
+        ``<cache_dir>/artifacts`` (:mod:`repro.results.store`) holding
+        both model cones with their deduced constraints (computed once
+        per model *ever*) and the session's verdicts, shared between
+        pool workers and across runs. Requires the default
+        ``cache=True`` (to combine a custom cache with a disk tier,
+        pass ``cache=ModelConeCache(disk=directory)`` instead).
     sim_backend:
         Simulation engine for :meth:`simulate` /
         :meth:`simulate_dataset` (and plan ops that simulate):
@@ -158,13 +157,12 @@ class CounterPoint:
         cells does no LP work at all.
         """
         if self._session is None:
-            import os
-
             from repro.results.session import AnalysisSession
 
             store = None
             if self.cache_dir is not None:
-                store = os.path.join(self.cache_dir, "artifacts")
+                # The same store instance the cone tier writes to.
+                store = self.cone_cache.disk
             self._session = AnalysisSession(pipeline=self, store=store)
         return self._session
 

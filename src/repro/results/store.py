@@ -1,17 +1,21 @@
 """A small content-addressed JSON artifact store.
 
-This generalizes the :class:`repro.cone.diskcache.DiskConeCache`
-pattern — atomic ``os.replace`` publication, version-stamped envelopes,
-corruption-tolerant reads, LRU byte cap — from "pickled model cones"
-to "any JSON result schema". It is the persistent tier behind
-:class:`~repro.results.session.AnalysisSession`'s verdict memo: one
-artifact per (kind, content key), safe to share between concurrent
-processes and across runs.
+One artifact per (kind, content key), published atomically with
+``os.replace`` in a version-stamped envelope, read back
+corruption-tolerantly, and LRU-pruned to a byte cap. It is the one
+persistent tier of the package: with a ``cache_dir`` every process
+shares a single store at ``<cache_dir>/artifacts`` holding model cones
+(kind ``"cone"``, written by :class:`~repro.cone.cache.ModelConeCache`)
+and :class:`~repro.results.session.AnalysisSession` verdicts and
+reports (kinds ``"verdict"``/``"report"``). It is safe to share between
+concurrent processes and across runs.
 
 Artifacts are JSON, not pickle, on purpose: they are the same stable
 schemas the :mod:`repro.results` types emit, so a store directory is
-readable by anything (a dashboard, ``jq``, a future service) and
-survives class moves and refactors that would orphan pickles.
+readable by anything (a dashboard, ``jq``, a future service), survives
+class moves and refactors, and nothing read back from a shared
+directory can execute code. Readers decode payloads defensively and
+:meth:`ArtifactStore.discard` anything that does not decode.
 """
 
 import hashlib
@@ -55,13 +59,13 @@ class ArtifactStore:
         Directory to store artifacts in (created if missing). Safe to
         share between concurrent processes and across runs.
     max_bytes:
-        LRU size cap for the directory, pruned after each write;
-        ``None`` disables pruning.
+        LRU size cap for the directory (every kind shares it), pruned
+        after each write; ``None`` disables pruning.
     version:
         Envelope format stamp (overridable for tests).
     """
 
-    def __init__(self, root, max_bytes=64 * 1024 * 1024,
+    def __init__(self, root, max_bytes=256 * 1024 * 1024,
                  version=ARTIFACT_FORMAT_VERSION):
         if max_bytes is not None and max_bytes <= 0:
             raise AnalysisError("artifact store max_bytes must be positive")

@@ -166,7 +166,7 @@ def closed_loop(observed_model, candidate_models, n_uops=20000, weights=None,
 
     Candidate cones come from the process-wide content-addressed cache
     (:func:`repro.cone.cache.get_model_cone`) — with ``cache_dir`` from
-    its persistent on-disk tier, so repeated closed-loop runs skip
+    the directory's artifact store, so repeated closed-loop runs skip
     µpath enumeration (and constraint deduction, once a candidate has
     ever been refuted) even across processes and CI runs. With
     ``workers > 1`` the candidate loop shards across a process pool
