@@ -152,24 +152,16 @@ class GuidedSearch:
     backend:
         LP backend for feasibility tests (``"scipy"`` recommended for
         sweeps; ``"exact"`` for certification).
-    runner:
-        Optional :class:`repro.parallel.ParallelRunner`. Each search
-        step evaluates many independent feature sets (discovery tries
-        every missing feature; elimination tries every child); with a
-        runner they shard across the process pool. ``cone_builder``
-        must then be picklable (a module-level function) — anything
-        else falls back to serial evaluation with identical results.
     """
 
     def __init__(self, cone_builder, observations, candidate_features,
-                 backend="scipy", runner=None):
+                 backend="scipy"):
         if not observations:
             raise AnalysisError("guided search needs at least one observation")
         self.cone_builder = cone_builder
         self.observations = list(observations)
         self.candidate_features = tuple(candidate_features)
         self.backend = backend
-        self.runner = runner
         self._cache = {}
 
     def evaluate(self, features):
@@ -189,41 +181,6 @@ class GuidedSearch:
             )
         return self._cache[features]
 
-    def evaluate_many(self, feature_sets):
-        """Evaluate several feature sets, sharding across the runner's
-        process pool when one is configured (memoised like
-        :meth:`evaluate`; results are identical either way)."""
-        pending = []
-        for features in feature_sets:
-            features = frozenset(features)
-            if features not in self._cache and features not in pending:
-                pending.append(features)
-        if self.runner is None or self.runner.serial or len(pending) <= 1:
-            for features in pending:
-                self.evaluate(features)
-            return
-        from repro.parallel.tasks import run_feature_evaluation
-
-        points = [
-            (observation.name, observation.point())
-            for observation in self.observations
-        ]
-        cells = [
-            {
-                "cone_builder": self.cone_builder,
-                "features": features,
-                "points": points,
-                "backend": self.backend,
-            }
-            for features in pending
-        ]
-        for features, infeasible in self.runner.map_cells(
-            run_feature_evaluation, cells
-        ):
-            self._cache[features] = ModelEvaluation(
-                features, infeasible, len(self.observations)
-            )
-
     # -- discovery -------------------------------------------------------
     def discovery(self, initial=frozenset()):
         """Add violation-resolving features until feasible (or stuck).
@@ -236,9 +193,6 @@ class GuidedSearch:
         while not evaluation.feasible:
             improvers = []
             missing = [f for f in self.candidate_features if f not in current]
-            # One discovery step's trials are independent: warm the
-            # memo for all of them in parallel, then rank serially.
-            self.evaluate_many([current | {f} for f in missing])
             for feature in missing:
                 trial = self.evaluate(current | {feature})
                 if trial.n_infeasible < evaluation.n_infeasible:
@@ -267,12 +221,13 @@ class GuidedSearch:
                     continue
                 visited.add(child)
                 children.append(child)
-            # A node's children are independent; evaluate the frontier
-            # in one sharded batch, then descend into the feasible ones.
-            self.evaluate_many(children)
-            for child in children:
-                if self.evaluate(child).feasible:
-                    recurse(child)
+            # Evaluate every child before descending into any, so
+            # evaluations are recorded one frontier at a time.
+            feasible = [
+                child for child in children if self.evaluate(child).feasible
+            ]
+            for child in feasible:
+                recurse(child)
 
         recurse(features)
 

@@ -1,33 +1,26 @@
-"""``repro.parallel`` — process-pool orchestration for sweeps.
+"""``repro.parallel`` — the process pool behind ``workers=N``.
 
-The analysis workloads worth running at scale are matrices: every model
-against every observation set (``cross_refute``), every observation
-against one cone (``sweep``), every feature set against a dataset
-(``explore.search``), every seed against a simulator (``repro.sim``
-batches). The cells are independent, so they shard across a process
-pool — this package supplies the shared machinery:
+The analysis workloads worth running at scale are matrices of
+independent cells: every observation against one cone (``sweep``),
+every model against every simulated dataset (``cross_refute``). The
+plan engine compiles each of them into two task kinds — dataset
+simulations and verdict batches — and
+:class:`repro.plan.schedulers.PoolScheduler` is the one caller that
+shards those tasks across a pool. This package supplies its machinery:
 
 * :class:`ParallelRunner` — a thin, deterministic wrapper over
-  :class:`concurrent.futures.ProcessPoolExecutor` with chunked
-  dispatch, pre-flight picklability checks, and a graceful serial
-  fallback (``workers=1``, a single cell, or unpicklable work always
-  runs in-process with identical results).
-* :mod:`repro.parallel.tasks` — module-level worker functions (the
-  pool pickles them by name) plus the high-level entry points
-  :func:`parallel_sweep`, :func:`parallel_cross_refute`,
-  :func:`parallel_simulate_dataset`, and
-  :func:`parallel_closed_loop`.
+  :class:`concurrent.futures.ProcessPoolExecutor` with pre-flight
+  picklability checks and a graceful serial fallback (``workers=1``, a
+  single cell, or unpicklable work always runs in-process with
+  identical results).
+* :mod:`repro.parallel.tasks` — the module-level worker functions (the
+  pool pickles them by name) and the two dispatchers the scheduler
+  calls, ``dispatch_verdicts`` and ``parallel_simulate_dataset``.
 
-Workers coordinate through the persistent artifact store
-(:mod:`repro.results.store`, at ``<cache_dir>/artifacts``): give every
-worker the same ``cache_dir`` and a model's µpath
-enumeration/constraint deduction runs in exactly one process, ever —
-the others load the cone's JSON artifact.
-
-Determinism: every parallel entry point produces *identical* results to
-its serial counterpart. Simulation seeds are split per cell exactly as
-the serial loops split them (``seed + run``, ``seed + 1000 * row``), so
-``workers=N`` changes wall-clock time, never verdicts.
+Determinism: pooled results are *identical* to serial ones.
+Simulation runs keep the serial per-run seeds (``seed + run``) however
+they are chunked, and verdict chunks run the same function the serial
+path runs, so ``workers=N`` changes wall-clock time, never verdicts.
 
 Quick start::
 
@@ -42,18 +35,8 @@ Quick start::
 """
 
 from repro.parallel.runner import ParallelRunner, split_seeds
-from repro.parallel.tasks import (
-    parallel_closed_loop,
-    parallel_cross_refute,
-    parallel_simulate_dataset,
-    parallel_sweep,
-)
 
 __all__ = [
     "ParallelRunner",
-    "parallel_closed_loop",
-    "parallel_cross_refute",
-    "parallel_simulate_dataset",
-    "parallel_sweep",
     "split_seeds",
 ]

@@ -1,13 +1,13 @@
-"""The process-pool core: chunked, deterministic, fallback-safe maps.
+"""The process-pool core: deterministic, fallback-safe maps.
 
-:class:`ParallelRunner` deliberately exposes only order-preserving map
-operations — ``map_cells`` (one function over many work items) and
-``map_models`` (a convenience alias with the same contract) — because
+:class:`ParallelRunner` deliberately exposes one order-preserving map
+operation, ``map_cells`` (one function over many work items), because
 every CounterPoint workload that shards is a matrix of independent
 cells. Keeping the surface to "a map that cannot change results" is
 what makes ``workers=N`` safe to default on everywhere: the serial path
 and the pooled path are the same function applied to the same cells in
-the same order.
+the same order. Callers pre-chunk their cells (one payload per worker),
+so each cell is dispatched on its own.
 
 The pool itself is persistent: the first pooled ``map_cells`` spawns
 the workers and later calls reuse them, so a pipeline that sweeps
@@ -73,25 +73,19 @@ class ParallelRunner:
         Pool size; ``None`` means ``os.cpu_count()``. ``1`` disables
         the pool entirely (pure serial execution, nothing pickled).
     cache_dir:
-        Persistent cache directory handed to workers that build model
-        cones, so deduction work is shared instead of repeated per
-        worker (its artifact store, see :mod:`repro.results.store`).
-    chunk_size:
-        Cells per dispatched chunk; ``None`` picks ``ceil(n_cells /
-        (4 * workers))`` — large enough to amortise IPC, small enough
-        to load-balance uneven cells.
+        The owning pipeline's persistent cache directory (its artifact
+        store, see :mod:`repro.results.store`), recorded for callers
+        that build cones inside their own cells. The plan engine's
+        workers receive ready cones and do not read it.
     """
 
-    def __init__(self, workers=None, cache_dir=None, chunk_size=None):
+    def __init__(self, workers=None, cache_dir=None):
         if workers is None:
             workers = os.cpu_count() or 1
         if workers < 1:
             raise AnalysisError("workers must be at least 1, got %r" % (workers,))
-        if chunk_size is not None and chunk_size < 1:
-            raise AnalysisError("chunk_size must be at least 1")
         self.workers = int(workers)
         self.cache_dir = None if cache_dir is None else os.fspath(cache_dir)
-        self.chunk_size = chunk_size
         self.fallbacks = 0
         self.dispatches = 0
         #: ``(reason, task_type)`` of the most recent serial fallback,
@@ -151,14 +145,7 @@ class ParallelRunner:
             )
             tracer.metrics.counter("parallel.fallbacks").inc()
 
-    def _chunk_size_for(self, n_cells, chunk_size):
-        if chunk_size is not None:
-            return chunk_size
-        if self.chunk_size is not None:
-            return self.chunk_size
-        return max(1, -(-n_cells // (4 * self.workers)))
-
-    def map_cells(self, fn, cells, chunk_size=None):
+    def map_cells(self, fn, cells):
         """Apply ``fn`` to every cell, preserving order.
 
         ``fn`` must be a module-level callable for the pooled path (the
@@ -172,10 +159,9 @@ class ParallelRunner:
         if not _picklable(fn) or not _picklable(cells[0]):
             self._note_fallback("unpicklable task", fn, len(cells))
             return [fn(cell) for cell in cells]
-        chunk = self._chunk_size_for(len(cells), chunk_size)
         self.dispatches += 1
         try:
-            return list(self._pool().map(fn, cells, chunksize=chunk))
+            return list(self._pool().map(fn, cells, chunksize=1))
         except (pickle.PicklingError, TypeError, AttributeError):
             # A later, heterogeneous cell slipped past the pre-flight
             # check (C-extension handles raise TypeError, closures
@@ -192,11 +178,6 @@ class ParallelRunner:
             self.close()
             self._note_fallback("broken process pool", fn, len(cells))
             return [fn(cell) for cell in cells]
-
-    def map_models(self, fn, models, chunk_size=None):
-        """Alias of :meth:`map_cells` for model-shaped work — reads
-        better at call sites that shard a model library."""
-        return self.map_cells(fn, models, chunk_size=chunk_size)
 
     def __repr__(self):
         return "ParallelRunner(workers=%d%s, %d dispatches, %d fallbacks)" % (

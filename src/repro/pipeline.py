@@ -56,11 +56,12 @@ class CounterPoint:
         share one cache between pipelines.
     workers:
         Process-pool size for the sharded workloads (:meth:`sweep`,
-        :meth:`cross_refute`, :meth:`simulate_dataset`); ``1`` (the
-        default) keeps everything in-process, ``None`` means one worker
-        per CPU. Parallel runs produce results identical to serial ones
-        — same seeds, same ordering, same verdicts (see
-        :mod:`repro.parallel`).
+        :meth:`compare`, :meth:`cross_refute`, :meth:`simulate_dataset`
+        and every :meth:`run` plan); ``1`` (the default) keeps
+        everything in-process, ``None`` means one worker per CPU. The
+        plan engine's :class:`~repro.plan.schedulers.PoolScheduler`
+        does the sharding; parallel runs produce results identical to
+        serial ones — same seeds, same ordering, same verdicts.
     cache_dir:
         Directory for the persistent tier: one artifact store at
         ``<cache_dir>/artifacts`` (:mod:`repro.results.store`) holding
@@ -344,32 +345,27 @@ class CounterPoint:
         with activate(tracer_for(self)):
             return simulate_observation(model, n_uops=n_uops, **options)
 
-    def simulate_dataset(self, model, n_observations, n_uops=20000, **options):
+    def simulate_dataset(self, model, n_observations, n_uops=20000, seed=0,
+                         weights=None, noisy=False, backend=None):
         """Independent simulated observations of one model, ready for
         :meth:`sweep` / :meth:`compare`.
 
         Run ``i`` draws from seed ``seed + i``, so datasets are
-        reproducible; with ``workers > 1`` the runs are sharded across
-        the process pool under the same per-run seeds (identical
-        observations, faster wall-clock). Options pass through to
-        :func:`repro.sim.simulate_observation`; the pipeline's
-        ``sim_backend`` applies unless overridden with ``backend=``.
+        reproducible. ``backend`` picks the simulation engine for this
+        call (the pipeline's ``sim_backend`` when ``None``). The call
+        is a one-op plan over :meth:`plan_engine`, so with
+        ``workers > 1`` its runs shard across the process pool under
+        the same per-run seeds (identical observations, faster
+        wall-clock).
         """
-        from repro.obs.trace import activate, tracer_for
-        from repro.sim import simulate_dataset
+        from repro.plan import Plan
 
-        options.setdefault("backend", self.sim_backend)
-        with activate(tracer_for(self)):
-            if self._parallel() and n_observations > 1:
-                from repro.parallel import parallel_simulate_dataset
-
-                return parallel_simulate_dataset(
-                    self.runner(), model, n_observations, n_uops=n_uops,
-                    **options
-                )
-            return simulate_dataset(
-                model, n_observations, n_uops=n_uops, **options
-            )
+        plan = Plan()
+        op_id = plan.simulate_dataset(
+            model, n_observations, n_uops=n_uops, seed=seed,
+            weights=weights, noisy=noisy, sim_backend=backend,
+        )
+        return self.plan_engine().run(plan).datasets[op_id]
 
     def cross_refute(
         self, models, n_observations=3, n_uops=20000, weights=None, seed=0,

@@ -8,9 +8,11 @@ can never change results, only wall-clock:
   pickled. The reference semantics.
 * :class:`PoolScheduler` — simulation tasks shard by run index and
   verdict batches shard by cell chunk across a
-  :class:`~repro.parallel.ParallelRunner` process pool, reusing the
-  exact entry points the facade's ``workers=N`` path has always used
-  (pooled results are bit-for-bit equal to serial ones).
+  :class:`~repro.parallel.ParallelRunner` process pool. It is the only
+  code that dispatches to the pool: every ``workers=N`` workload —
+  facade calls, declarative plans, ``python -m repro run --workers`` —
+  reaches the pool through it (pooled results are bit-for-bit equal to
+  serial ones).
 * :class:`~repro.serve.queue.QueueScheduler` — the serve daemon's
   strategy: every batch becomes a work item on one shared weighted-
   fair queue (per-tenant virtual-time clocks, priority classes,
@@ -94,7 +96,7 @@ class PoolScheduler(SerialScheduler):
         return self.runner if self.runner is not None else pipeline.runner()
 
     def simulate(self, pipeline, task):
-        from repro.parallel import parallel_simulate_dataset
+        from repro.parallel.tasks import parallel_simulate_dataset
 
         backend = _sim_backend(pipeline, task)
         with get_tracer().span(
@@ -117,8 +119,8 @@ class PoolScheduler(SerialScheduler):
             return SerialScheduler.compute(
                 self, session, cone, targets, use_regions, explain
             )
-        # Imported at call time, like the session's own parallel path,
-        # so tests patching the module attribute see every dispatch.
+        # Imported at call time so tests patching the module attribute
+        # see every dispatch.
         from repro.parallel.tasks import dispatch_verdicts
 
         pipeline = session.pipeline

@@ -17,12 +17,17 @@ run names), so renamed models and re-measured-but-identical data still
 hit.
 
 :class:`~repro.pipeline.CounterPoint` owns a session per instance and
-routes its analysis methods through it; sessions can also be built
-standalone around any pipeline. With ``workers > 1`` only the *pending*
-cells are sharded across the process pool (session-aware sharding), and
-pool workers given a ``cache_dir`` share the same artifact store, so
-incrementality survives process boundaries.
+its plan engine routes every verdict cell through it — a
+``cross_refute`` matrix is one :meth:`AnalysisSession.sweep` per
+(row, candidate) pair; sessions can also be built standalone around any
+pipeline. A sweep hands only its *pending* cells to the pipeline's
+scheduler (:mod:`repro.plan.schedulers`), which shards them across the
+process pool when ``workers > 1`` — memo lookup, recording and
+statistics stay here either way, so ``workers`` changes wall-clock,
+never incrementality.
 """
+
+import functools
 
 from repro.cone import (
     identify_violations,
@@ -41,7 +46,6 @@ from repro.results.types import (
     AnalysisReport,
     CellVerdict,
     CompareResult,
-    RefutationMatrix,
     sweep_from_verdicts,
 )
 
@@ -275,8 +279,9 @@ class AnalysisSession:
 
         ``compute`` overrides how the pending batch is solved — a
         callable ``(cone, targets, use_regions, explain) -> verdicts``.
-        The plan engine's pluggable schedulers hook in here; the
-        default is the session's own serial-or-pool dispatch. Lookup,
+        The plan engine passes its scheduler's ``compute`` here; the
+        default is the pipeline's default scheduler
+        (:func:`repro.plan.schedulers.scheduler_for`). Lookup,
         recording, and statistics stay with the session either way, so
         an override can change wall-clock but never memo semantics.
         """
@@ -308,7 +313,11 @@ class AnalysisSession:
             span.set(cells=len(observations), pending=len(pending))
             if pending:
                 if compute is None:
-                    compute = self._compute
+                    from repro.plan.schedulers import scheduler_for
+
+                    compute = functools.partial(
+                        scheduler_for(pipeline).compute, self
+                    )
                 if self.claims is None:
                     self._compute_pending(
                         cone, pending, observations, verdicts,
@@ -389,27 +398,6 @@ class AnalysisSession:
         if callable(point):
             return point()
         return observation  # a mapping or ordered sequence
-
-    def _compute(self, cone, targets, use_regions, explain):
-        pipeline = self.pipeline
-        if pipeline._parallel() and len(targets) > 1:
-            from repro.parallel.tasks import dispatch_verdicts
-
-            return dispatch_verdicts(
-                pipeline.runner(),
-                cone,
-                targets,
-                backend=pipeline.backend,
-                use_regions=use_regions,
-                explain=explain,
-            )
-        return compute_cell_verdicts(
-            cone,
-            targets,
-            backend=pipeline.backend,
-            use_regions=use_regions,
-            explain=explain,
-        )
 
     def compare(self, models, observations, **sweep_options):
         """Sweep several candidate models over one dataset.
@@ -521,59 +509,6 @@ class AnalysisSession:
         if self.store is not None:
             self.store.put("report", key, report.to_dict())
         return report
-
-    # -- the closed loop ---------------------------------------------------
-    def cross_refute(self, models, n_observations=3, n_uops=20000,
-                     weights=None, seed=0, explain=False):
-        """The closed-loop matrix: simulate each model, sweep all models.
-
-        Returns a :class:`~repro.results.types.RefutationMatrix`. On
-        the serial path cells are memoized individually in this
-        session, so re-running with one model appended re-tests only
-        the new row and column. With ``workers > 1`` the matrix shards
-        by row across the pool and the verdicts are computed (and
-        memoized) in the worker processes — incremental re-runs then
-        require a ``cache_dir`` on the pipeline, whose shared artifact
-        store plays the memo role across workers and runs; this
-        session's own memo and ``stats`` are not consulted or updated
-        by the pooled path.
-        """
-        from repro.sim import as_mudd, simulate_dataset
-
-        pipeline = self.pipeline
-        mudds = [as_mudd(model) for model in models]
-        if pipeline._parallel() and len(mudds) > 1:
-            from repro.parallel import parallel_cross_refute
-
-            return parallel_cross_refute(
-                pipeline.runner(),
-                mudds,
-                n_observations=n_observations,
-                n_uops=n_uops,
-                weights=weights,
-                seed=seed,
-                backend=pipeline.backend,
-                confidence=pipeline.confidence,
-                explain=explain,
-            )
-        rows = {}
-        for row, observed in enumerate(mudds):
-            observations = simulate_dataset(
-                observed,
-                n_observations,
-                n_uops=n_uops,
-                weights=weights,
-                seed=seed + 1000 * row,
-            )
-            counters = observations[0].samples.counters
-            sweeps = {}
-            for candidate in mudds:
-                cone = pipeline.model_cone(candidate, counters=counters)
-                sweeps[candidate.name] = self.sweep(
-                    cone, observations, explain=explain
-                )
-            rows[observed.name] = CompareResult(sweeps)
-        return RefutationMatrix(rows)
 
     def __repr__(self):
         return "AnalysisSession(%d memoized, %r%s)" % (

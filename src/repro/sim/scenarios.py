@@ -155,47 +155,43 @@ def trace_observation(model, oracle, workload, n_uops, n_intervals=20,
 
 def closed_loop(observed_model, candidate_models, n_uops=20000, weights=None,
                 seed=0, backend="exact", use_regions=False, confidence=0.99,
-                workers=1, cache_dir=None, sim_backend="auto"):
+                cache_dir=None, sim_backend="auto"):
     """Simulate observations from one model; test every candidate.
 
     Returns ``{candidate_name: AnalysisReport}``. The observed model
     itself is always feasible (its totals lie in its own cone by
     construction — counter conservation), so including it among the
     candidates is the standard sanity row; candidates whose mechanisms
-    disagree get refuted, closing the simulate→refute loop.
+    disagree get refuted, closing the simulate→refute loop. Candidate
+    names must be distinct (DSL sources default to the name
+    ``"model"``): a duplicate raises :class:`SimulationError` rather
+    than letting one report hide another.
 
     Candidate cones come from the process-wide content-addressed cache
     (:func:`repro.cone.cache.get_model_cone`) — with ``cache_dir`` from
     the directory's artifact store, so repeated closed-loop runs skip
     µpath enumeration (and constraint deduction, once a candidate has
-    ever been refuted) even across processes and CI runs. With
-    ``workers > 1`` the candidate loop shards across a process pool
-    (:func:`repro.parallel.parallel_closed_loop`) with identical
-    results. ``backend`` is the LP backend; ``sim_backend`` the
-    simulation engine knob (identical observations for every choice).
+    ever been refuted) even across processes and CI runs. Each report
+    comes from :meth:`repro.pipeline.CounterPoint.analyze`, a one-op
+    plan. ``backend`` is the LP backend; ``sim_backend`` the simulation
+    engine knob (identical observations for every choice).
     """
     from repro.cone.cache import get_model_cone
     from repro.pipeline import CounterPoint
 
+    candidates = [as_mudd(candidate) for candidate in candidate_models]
+    seen = set()
+    for candidate in candidates:
+        if candidate.name in seen:
+            raise SimulationError(
+                "duplicate candidate model name %r in closed loop; give "
+                "each candidate a distinct name" % (candidate.name,)
+            )
+        seen.add(candidate.name)
     observation = simulate_observation(
         observed_model, n_uops=n_uops, weights=weights, seed=seed,
         noisy=use_regions, backend=sim_backend,
     )
-    candidate_models = list(candidate_models)
-    if workers is None or workers > 1:
-        from repro.parallel import ParallelRunner, parallel_closed_loop
-
-        # The pool exists only for this call; shut it down on the way
-        # out instead of leaving workers to garbage-collection timing.
-        with ParallelRunner(workers=workers, cache_dir=cache_dir) as runner:
-            return parallel_closed_loop(
-                runner,
-                observation,
-                candidate_models,
-                backend=backend,
-                confidence=confidence,
-                use_regions=use_regions,
-            )
     counters = observation.samples.counters
     counterpoint = CounterPoint(backend=backend, confidence=confidence)
     target = (
@@ -204,10 +200,8 @@ def closed_loop(observed_model, candidate_models, n_uops=20000, weights=None,
         else observation.point()
     )
     reports = {}
-    for candidate in candidate_models:
-        cone = get_model_cone(
-            as_mudd(candidate), counters=counters, cache_dir=cache_dir
-        )
+    for candidate in candidates:
+        cone = get_model_cone(candidate, counters=counters, cache_dir=cache_dir)
         report = counterpoint.analyze(cone, target)
         reports[report.model_name] = report
     return reports

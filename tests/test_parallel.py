@@ -6,20 +6,18 @@ against its serial counterpart, and the fallback paths (workers=1,
 single cell, unpicklable work) are exercised explicitly.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.errors import AnalysisError
 from repro.models.bundled import bundled_model_names
-from repro.parallel import (
-    ParallelRunner,
-    parallel_cross_refute,
-    parallel_simulate_dataset,
-    parallel_sweep,
-    split_seeds,
-)
-from repro.parallel.tasks import _chunks
+from repro.parallel import ParallelRunner, split_seeds
+from repro.parallel.tasks import _chunks, parallel_simulate_dataset
 from repro.pipeline import CounterPoint
-from repro.sim import as_mudd, closed_loop, simulate_dataset
+from repro.sim import as_mudd, simulate_dataset
 
 
 def _square(x):
@@ -75,15 +73,9 @@ class TestRunner:
             assert runner.map_cells(_cell_n, cells) == [1, 2]
         assert runner.fallbacks == 1
 
-    def test_map_models_alias(self):
-        runner = ParallelRunner(workers=1)
-        assert runner.map_models(_square, [2, 3]) == [4, 9]
-
     def test_invalid_workers_rejected(self):
         with pytest.raises(AnalysisError):
             ParallelRunner(workers=0)
-        with pytest.raises(AnalysisError):
-            ParallelRunner(workers=2, chunk_size=0)
         with pytest.raises(AnalysisError):
             CounterPoint(workers=0)
 
@@ -169,32 +161,17 @@ class TestParallelEqualsSerial:
         for row, sweeps in pooled.items():
             assert sweeps[row].feasible
 
-    def test_closed_loop(self, bundled, tmp_path):
-        names = [m.name for m in bundled[:3]]
-        serial = closed_loop(names[0], names, n_uops=3000)
-        pooled = closed_loop(
-            names[0], names, n_uops=3000, workers=2,
-            cache_dir=str(tmp_path / "cones"),
-        )
-        assert {k: v.feasible for k, v in serial.items()} == {
-            k: v.feasible for k, v in pooled.items()
-        }
-
-    def test_direct_entry_points(self, bundled, small_dataset):
-        runner = ParallelRunner(workers=2)
-        cone = CounterPoint(backend="scipy").model_cone(
-            bundled[1], counters=small_dataset[0].samples.counters
-        )
-        sweep = parallel_sweep(runner, cone, small_dataset, backend="scipy")
-        assert sweep.n_observations == len(small_dataset)
-
-        matrix = parallel_cross_refute(
-            runner, bundled[:2], n_observations=2, n_uops=2000, backend="scipy"
-        )
-        assert set(matrix) == {m.name for m in bundled[:2]}
-
-        dataset = parallel_simulate_dataset(runner, bundled[0], 3, n_uops=2000)
-        assert len(dataset) == 3
+    def test_direct_entry_points(self, bundled):
+        with ParallelRunner(workers=2) as runner:
+            pooled = parallel_simulate_dataset(
+                runner, bundled[0], 3, n_uops=2000
+            )
+        serial = simulate_dataset(bundled[0], 3, n_uops=2000)
+        assert [o.name for o in pooled] == [o.name for o in serial]
+        assert [o.totals for o in pooled] == [o.totals for o in serial]
+        assert [o.samples.samples.tolist() for o in pooled] == [
+            o.samples.samples.tolist() for o in serial
+        ]
 
 
 class TestFacadeWiring:
@@ -229,41 +206,43 @@ class TestFacadeWiring:
         assert counterpoint.runner().cache_dir == path
 
 
-class TestParallelGuidedSearch:
-    def test_search_matches_serial(self):
-        from repro.explore import GuidedSearch
-        from repro.models import FEATURES, build_model_cone, standard_dataset
+def _pool_dispatch_imports(path):
+    """``(line, what)`` for every import in ``path`` that reaches the
+    pool dispatchers: the ``repro.parallel.tasks`` module itself, or a
+    ``parallel_*`` / ``dispatch_verdicts`` name from ``repro.parallel``."""
+    found = []
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("repro.parallel.tasks"):
+                    found.append((node.lineno, alias.name))
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            module = node.module or ""
+            if module == "repro.parallel.tasks":
+                found.append((node.lineno, module))
+            elif module == "repro.parallel":
+                for alias in node.names:
+                    if (alias.name == "tasks"
+                            or alias.name.startswith("parallel_")
+                            or alias.name == "dispatch_verdicts"):
+                        found.append((node.lineno, alias.name))
+    return found
 
-        observations = standard_dataset()[:6]
-        features = sorted(FEATURES)[:4]
-        serial = GuidedSearch(build_model_cone, observations, features).run()
-        pooled = GuidedSearch(
-            build_model_cone,
-            observations,
-            features,
-            runner=ParallelRunner(workers=2),
-        ).run()
-        assert serial.candidate == pooled.candidate
-        assert {
-            f: e.n_infeasible for f, e in serial.evaluations.items()
-        } == {f: e.n_infeasible for f, e in pooled.evaluations.items()}
 
-    def test_unpicklable_builder_falls_back(self):
-        from repro.explore import GuidedSearch
-        from repro.models import FEATURES, build_model_cone, standard_dataset
-
-        observations = standard_dataset()[:4]
-        features = sorted(FEATURES)[:3]
-        runner = ParallelRunner(workers=2)
-        builder = lambda fs: build_model_cone(fs)  # noqa: E731
-        search = GuidedSearch(
-            builder, observations, features, runner=runner
-        )
-        search.evaluate_many([frozenset({f}) for f in features])
-        assert runner.fallbacks >= 1
-        reference = GuidedSearch(build_model_cone, observations, features)
-        for feature in features:
-            assert (
-                search.evaluate({feature}).n_infeasible
-                == reference.evaluate({feature}).n_infeasible
+class TestOnePoolPath:
+    def test_only_the_pool_scheduler_dispatches_to_the_pool(self):
+        # PoolScheduler is the one code path that decides serial vs
+        # pool; nothing else in the package may reach the dispatchers.
+        root = Path(repro.__file__).resolve().parent
+        allowed = root / "plan" / "schedulers.py"
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            if path == allowed or (root / "parallel") in path.parents:
+                continue
+            offenders.extend(
+                "%s:%d imports %s" % (path.relative_to(root), line, what)
+                for line, what in _pool_dispatch_imports(path)
             )
+        assert offenders == []
+        assert _pool_dispatch_imports(allowed)  # the scan sees imports

@@ -6,8 +6,8 @@ The headline contracts, asserted with real call counters:
   ``cross_refute`` ops computes each shared (cone, observation) verdict
   **exactly once**;
 * every facade call routed through the plan engine is **bit-for-bit
-  identical** to the pre-redesign session/parallel paths, serial and
-  ``workers=2``;
+  identical** to the same work spelled out against a bare session,
+  serial and ``workers=2``;
 * a dry run prices the DAG without solving anything, and its task count
   matches what a cold execution computes;
 * interrupted runs resume from the artifact store with only pending
@@ -36,8 +36,8 @@ from repro.plan import (
     compile_plan,
 )
 from repro.results import AnalysisSession, result_from_json
-from repro.results.types import CompareResult, ModelSweep
-from repro.sim import simulate_dataset
+from repro.results.types import CompareResult, ModelSweep, RefutationMatrix
+from repro.sim import as_mudd, simulate_dataset
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -513,8 +513,7 @@ class TestResume:
 
 class TestFacadeEquivalence:
     """Every plan-engine-routed facade call is bit-for-bit identical to
-    the pre-redesign session/parallel paths (the old code paths are
-    still callable directly, which is what makes this provable)."""
+    the same work spelled out by hand against a bare session."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sweep_compare_analyze_match(self, workers):
@@ -546,11 +545,26 @@ class TestFacadeEquivalence:
             new_matrix = facade.cross_refute(
                 models, n_observations=2, n_uops=2000
             )
+        # The reference matrix, spelled out: row r simulates from seed
+        # 1000 * r, and every candidate's cone takes the row dataset's
+        # counter ordering.
+        mudds = [as_mudd(model) for model in models]
+        rows = {}
         with CounterPoint(backend="scipy", workers=workers) as reference:
-            old_matrix = AnalysisSession(pipeline=reference).cross_refute(
-                models, n_observations=2, n_uops=2000
-            )
-        assert new_matrix.to_dict() == old_matrix.to_dict()
+            session = AnalysisSession(pipeline=reference)
+            for row, observed in enumerate(mudds):
+                observations = simulate_dataset(
+                    observed, 2, n_uops=2000, seed=1000 * row
+                )
+                counters = observations[0].samples.counters
+                rows[observed.name] = CompareResult([
+                    session.sweep(
+                        reference.model_cone(candidate, counters=counters),
+                        observations,
+                    )
+                    for candidate in mudds
+                ])
+        assert new_matrix.to_dict() == RefutationMatrix(rows).to_dict()
 
     def test_region_sweep_matches(self):
         observations = simulate_dataset("pde_refined", 2, n_uops=2000)

@@ -149,14 +149,14 @@ class TestIncrementalCrossRefute:
     def test_appending_one_model_tests_only_new_cells(self):
         counterpoint = CounterPoint(backend="scipy")
         session = counterpoint.session()
-        small = session.cross_refute(
+        small = counterpoint.cross_refute(
             ["pde_initial"], n_observations=2, n_uops=2000
         )
         assert small.diagonal_feasible()
         cells_one = session.stats.tests
         assert cells_one == 2  # 1 row x 1 candidate x 2 observations
 
-        grown = session.cross_refute(
+        grown = counterpoint.cross_refute(
             ["pde_initial", "pde_refined"], n_observations=2, n_uops=2000
         )
         assert grown.diagonal_feasible()
@@ -197,8 +197,8 @@ class TestSerialParallelEquality:
             shipped.append(len(list(targets)))
             return real(runner, cone, targets, **kwargs)
 
-        # The session imports dispatch_verdicts lazily from the module,
-        # so patching the module attribute is sufficient.
+        # The pool scheduler imports dispatch_verdicts lazily from the
+        # module, so patching the module attribute is sufficient.
         monkeypatch.setattr(tasks_module, "dispatch_verdicts", wrapper)
         with CounterPoint(backend="exact", workers=2) as counterpoint:
             cone = tiny_cone()

@@ -284,6 +284,25 @@ class TestClosedLoop:
         assert reports["pde_refined"].feasible
         assert not reports["pde_initial"].feasible
 
+    def test_duplicate_candidate_names_raise(self):
+        # Reports are keyed by model name: a repeated candidate must be
+        # refused, not silently collapsed into one report.
+        with pytest.raises(SimulationError, match="merging_load_side"):
+            closed_loop(
+                "merging_load_side",
+                ["merging_load_side", "no_merging_load_side",
+                 "merging_load_side"],
+                n_uops=2000,
+            )
+
+    def test_default_named_dsl_candidates_raise(self):
+        # Two DSL sources both take the default name "model"; keeping
+        # only the last report would hide the first one's refutation.
+        once = "incr load.causes_walk; done;"
+        twice = "incr load.causes_walk; incr load.causes_walk; done;"
+        with pytest.raises(SimulationError, match="'model'"):
+            closed_loop(twice, [once, twice], n_uops=2000)
+
     def test_cross_refute_matrix(self):
         counterpoint = CounterPoint(backend="exact")
         matrix = counterpoint.cross_refute(
