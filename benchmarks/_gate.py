@@ -4,7 +4,8 @@ A gated benchmark asserts its median against the committed
 ``BENCH_baseline.json`` entry for its key, with :data:`BASELINE_FACTOR`
 headroom: CI machines vary widely, the *shape* of a real regression
 (a disabled instrumentation point doing work, a warm submit
-recomputing cells, a compiled backend degrading to interpreter speed)
+recomputing cells, the generated simulator degrading to interpreter
+speed)
 does not. Without a baseline entry the gate skips, so a new machine
 can record one first.
 """

@@ -11,10 +11,11 @@ sweeps, so its two hot paths are benchmarked directly:
   device-backed MMU oracle, which bounds how fast trace-replay
   simulations (and oracle-in-the-loop validation) can run.
 
-The per-µop path is additionally benchmarked per execution backend
-(interpreter / vector / codegen): the compiled backends must produce
-bit-identical totals and the best one must clear a hard speedup bar
-over the interpreter at bench scale (``test_sim_codegen_speedup``).
+Without device state, the reference interpreter loop (``run_uop`` per
+µop) is the overhead floor, and the default ``run()`` — which takes the
+generated program for samplable oracles — must produce bit-identical
+totals and clear a hard speedup bar over it at bench scale
+(``test_sim_codegen_speedup``).
 """
 
 import time
@@ -64,45 +65,38 @@ def test_sim_throughput_event_driven(benchmark):
     assert executor.n_uops >= 2000
 
 
-def test_sim_throughput_random_oracle(benchmark):
-    """Per-µop interpretation without device state — the pure
-    interpreter overhead floor."""
-    mudd = load_bundled_model("merging_load_side")
-
-    def run():
-        executor = MuDDExecutor(mudd)
-        executor.run(RandomOracle(seed=0, weights=MERGE_WEIGHTS), [None] * 20000)
-        return executor
-
-    executor = benchmark(run)
-    assert executor.n_uops == 20000
+def _reference_run(mudd):
+    """The reference per-µop interpreter loop (``run_uop`` per µop)."""
+    executor = MuDDExecutor(mudd)
+    oracle = RandomOracle(seed=0, weights=MERGE_WEIGHTS)
+    for _ in range(20000):
+        executor.run_uop(oracle)
+    return executor
 
 
-def _backend_run(mudd, backend):
-    executor = MuDDExecutor(mudd, backend=backend)
+def _default_run(mudd):
+    """The default ``run()``: the generated program for this samplable
+    oracle."""
+    executor = MuDDExecutor(mudd)
     executor.run(RandomOracle(seed=0, weights=MERGE_WEIGHTS), [None] * 20000)
     return executor
 
 
-def test_sim_throughput_random_oracle_vector(benchmark):
-    """The vectorised backend on the interpreter-floor workload."""
+def test_sim_throughput_random_oracle(benchmark):
+    """Per-µop interpretation without device state — the pure
+    interpreter overhead floor."""
     mudd = load_bundled_model("merging_load_side")
-    executor = benchmark(_backend_run, mudd, "vector")
+    executor = benchmark(_reference_run, mudd)
     assert executor.n_uops == 20000
-    assert executor.snapshot() == _backend_run(mudd, "interpreter").snapshot()
-    check_baseline(
-        benchmark,
-        "benchmarks/test_sim_throughput.py::"
-        "test_sim_throughput_random_oracle_vector",
-    )
 
 
 def test_sim_throughput_random_oracle_codegen(benchmark):
-    """The codegen backend on the interpreter-floor workload."""
+    """The default ``run()`` (generated program) on the
+    interpreter-floor workload."""
     mudd = load_bundled_model("merging_load_side")
-    executor = benchmark(_backend_run, mudd, "codegen")
+    executor = benchmark(_default_run, mudd)
     assert executor.n_uops == 20000
-    assert executor.snapshot() == _backend_run(mudd, "interpreter").snapshot()
+    assert executor.snapshot() == _reference_run(mudd).snapshot()
     check_baseline(
         benchmark,
         "benchmarks/test_sim_throughput.py::"
@@ -120,25 +114,26 @@ def _best_of(repeats, run):
 
 
 def test_sim_codegen_speedup():
-    """The best compiled backend clears 5x over the interpreter at bench
-    scale (20000 weighted-RandomOracle µops of merging_load_side).
+    """The default ``run()`` clears 5x over the reference interpreter
+    loop at bench scale (20000 weighted-RandomOracle µops of
+    merging_load_side).
 
-    Measured headroom is ~7x, so the bar survives CI noise; best-of-5
+    Measured headroom is ~6x, so the bar survives CI noise; best-of-5
     wall-clock keeps scheduler jitter out of the ratio.
     """
     mudd = load_bundled_model("merging_load_side")
-    _backend_run(mudd, "codegen")          # warm the program memo
-    interpreter = _best_of(5, lambda: _backend_run(mudd, "interpreter"))
-    codegen = _best_of(5, lambda: _backend_run(mudd, "codegen"))
+    _default_run(mudd)                     # warm the program memo
+    interpreter = _best_of(5, lambda: _reference_run(mudd))
+    codegen = _best_of(5, lambda: _default_run(mudd))
     assert codegen * 5 <= interpreter, (
-        "codegen %.4fs vs interpreter %.4fs (%.1fx, need >= 5x)"
+        "run() %.4fs vs interpreter %.4fs (%.1fx, need >= 5x)"
         % (codegen, interpreter, interpreter / codegen)
     )
 
 
 def test_sim_auto_cold_start_overhead():
-    """``backend="auto"`` never loses to the interpreter by more than
-    compile cost on a cold single trace.
+    """The default ``run()`` never loses to the reference interpreter
+    loop by more than compile cost on a cold single trace.
 
     The model is built inline so nothing in the session has warmed its
     program memo; the allowance (50 ms) is orders of magnitude above the
@@ -156,16 +151,16 @@ def test_sim_auto_cold_start_overhead():
     compile_cost_allowance = 0.05
     interpreter_mudd = compile_dsl(source, name="cold_probe_interp")
     started = time.perf_counter()
-    reference = MuDDExecutor(interpreter_mudd, backend="interpreter")
-    reference.run(RandomOracle(seed=0), [None])
+    reference = MuDDExecutor(interpreter_mudd)
+    reference.run_uop(RandomOracle(seed=0))
     interpreter_seconds = time.perf_counter() - started
     auto_mudd = compile_dsl(source, name="cold_probe_auto")
     started = time.perf_counter()
-    executor = MuDDExecutor(auto_mudd, backend="auto")
+    executor = MuDDExecutor(auto_mudd)
     executor.run(RandomOracle(seed=0), [None])
     auto_seconds = time.perf_counter() - started
     assert executor.snapshot() == reference.snapshot()
     assert auto_seconds <= interpreter_seconds + compile_cost_allowance, (
-        "auto cold start %.4fs vs interpreter %.4fs"
+        "run() cold start %.4fs vs interpreter %.4fs"
         % (auto_seconds, interpreter_seconds)
     )

@@ -31,6 +31,7 @@ same way but refuse ``to_dict`` with a pointed error.
 """
 
 from repro.errors import AnalysisError
+from repro.plan.compiler import _looks_like_dsl
 from repro.results.base import (
     ResultBase,
     decode_number,
@@ -129,18 +130,25 @@ def _check_positive(op_id, name, value):
         )
 
 
-def _check_sim_backend(op_id, sim_backend):
-    """Validate an optional per-op simulation backend override."""
-    if sim_backend is None:
-        return None
-    from repro.sim.engines import BACKENDS
-
-    if sim_backend not in BACKENDS:
-        raise AnalysisError(
-            "plan op %r: unknown sim backend %r (choose from %s)"
-            % (op_id, sim_backend, ", ".join(BACKENDS))
-        )
-    return sim_backend
+def _check_distinct_models(op_id, models):
+    """Refuse a cross-refutation whose models share a name: the matrix
+    is keyed by model name, so a duplicate would silently replace a row
+    and a column. Names are read without compiling anything: DSL source
+    is named ``"model"`` (:func:`repro.sim.as_mudd`), a bundled name is
+    its own name, and a µDD carries one."""
+    seen = set()
+    for model in models:
+        if isinstance(model, str):
+            name = "model" if _looks_like_dsl(model) else model
+        else:
+            name = getattr(model, "name", None)
+        if name in seen:
+            raise AnalysisError(
+                "plan op %r: cross_refute lists model %r twice; the "
+                "refutation matrix needs distinct model names"
+                % (op_id, name)
+            )
+        seen.add(name)
 
 
 def _check_weights(op_id, weights):
@@ -256,17 +264,8 @@ class Plan(ResultBase):
         return op.op_id
 
     def simulate_dataset(self, model, n_observations, n_uops=20000, seed=0,
-                         weights=None, noisy=False, sim_backend=None,
-                         op_id=None, after=()):
-        """Add a dataset-simulation op; other ops consume it by id.
-
-        ``sim_backend`` optionally pins this op's simulation engine
-        (:data:`repro.sim.BACKENDS`); ``None`` (the default, and the
-        only value older serialized plans carry) defers to the
-        executing pipeline's ``sim_backend``. Either way the
-        observations are identical — the knob is wall-clock only, and
-        it does not participate in task content keys.
-        """
+                         weights=None, noisy=False, op_id=None, after=()):
+        """Add a dataset-simulation op; other ops consume it by id."""
         _check_positive(op_id or "?", "n_observations", n_observations)
         _check_positive(op_id or "?", "n_uops", n_uops)
         return self._add("simulate_dataset", {
@@ -276,7 +275,6 @@ class Plan(ResultBase):
             "seed": int(seed),
             "weights": _check_weights(op_id or "?", weights),
             "noisy": bool(noisy),
-            "sim_backend": _check_sim_backend(op_id or "?", sim_backend),
         }, op_id, after)
 
     def analyze(self, model, observation, explain=False, op_id=None, after=()):
@@ -314,10 +312,12 @@ class Plan(ResultBase):
                      weights=None, seed=0, explain=False, op_id=None,
                      after=()):
         """Add a closed-loop cross-refutation matrix op."""
+        models = list(models)
+        _check_distinct_models(op_id or "?", models)
         _check_positive(op_id or "?", "n_observations", n_observations)
         _check_positive(op_id or "?", "n_uops", n_uops)
         return self._add("cross_refute", {
-            "models": list(models),
+            "models": models,
             "n_observations": n_observations,
             "n_uops": n_uops,
             "weights": _check_weights(op_id or "?", weights),
@@ -374,7 +374,8 @@ class Plan(ResultBase):
                                 op.params["n_observations"])
                 _check_positive(op.op_id, "n_uops", op.params["n_uops"])
                 _check_weights(op.op_id, op.params.get("weights"))
-                _check_sim_backend(op.op_id, op.params.get("sim_backend"))
+            if op.kind == "cross_refute":
+                _check_distinct_models(op.op_id, op.params["models"])
             dataset = op.params.get("dataset")
             if (
                 isinstance(dataset, dict)
@@ -403,7 +404,6 @@ class Plan(ResultBase):
                                 inner.get("n_observations", 3))
                 _check_positive(op.op_id, "n_uops", inner.get("n_uops", 20000))
                 _check_weights(op.op_id, inner.get("weights"))
-                _check_sim_backend(op.op_id, inner.get("sim_backend"))
         # Kahn's algorithm, scanning in declaration order so execution
         # order is deterministic regardless of edge insertion order.
         remaining = {op.op_id: set(op.dependencies()) for op in self.ops}
@@ -454,12 +454,6 @@ class Plan(ResultBase):
                 elif name == "dataset":
                     value = _serialize_dataset(op.op_id, value)
                 entry[name] = value
-            # Optional params serialize only when set, so plans that
-            # never touch them round-trip byte-identically against
-            # golden files written before the param existed.
-            sim_backend = op.params.get("sim_backend")
-            if sim_backend is not None:
-                entry["sim_backend"] = sim_backend
             entries.append(entry)
         return {"ops": entries}
 
@@ -485,8 +479,6 @@ class Plan(ResultBase):
                 elif name == "dataset":
                     value = _deserialize_dataset(value)
                 params[name] = value
-            if kind == "simulate_dataset":
-                params["sim_backend"] = entry.get("sim_backend")
             ops.append(PlanOp(entry["id"], kind, params, entry.get("after", ())))
         plan = cls(ops)
         plan.validate()

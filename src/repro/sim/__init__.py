@@ -11,15 +11,14 @@ Layer map
 * :mod:`repro.sim.executor` — :class:`MuDDExecutor`: interprets a µDD
   edge-by-edge per µop, resolving decisions through an oracle and
   accumulating counter totals (plus per-interval time series). The
-  ``backend`` knob swaps the interpreter for a compiled engine with
-  bit-identical results.
-* :mod:`repro.sim.engines` — the vectorised compiled backend: lowers a
-  :class:`CompiledMuDD` into a decision skeleton (macro-edges between
-  decisions, numpy delta matrix) and walks it with per-decision sampler
-  closures (:data:`BACKENDS`, :func:`resolve_backend`).
-* :mod:`repro.sim.codegen` — the codegen backend: emits specialised
-  Python source per µDD (inlined branch dispatch, no per-edge dict
-  lookups), memoised in-process by µDD fingerprint.
+  interpreter is the reference; ``run`` with a samplable oracle takes
+  the generated program instead, with bit-identical results.
+* :mod:`repro.sim.engines` — lowers a :class:`CompiledMuDD` into a
+  decision skeleton (macro-edges between decisions) and decides which
+  oracles are samplable.
+* :mod:`repro.sim.codegen` — emits specialised Python source per µDD
+  from the skeleton's decision tree (inlined branch dispatch, no
+  per-edge dict lookups), memoised in-process by µDD fingerprint.
 * :mod:`repro.sim.oracles` — decision resolvers: seeded
   :class:`RandomOracle`, scripted :class:`TableOracle`, and the
   device-backed :class:`MMUOracle` that answers the Haswell model
@@ -50,7 +49,6 @@ Quick start::
 """
 
 from repro.sim.batch import BatchResult, batch_simulate, expected_totals, path_distribution
-from repro.sim.engines import BACKENDS, resolve_backend
 from repro.sim.executor import CompiledMuDD, MuDDExecutor
 from repro.sim.noise import default_multiplexer, noisy_samples, simulate_interval_matrix
 from repro.sim.oracles import MMUOracle, Oracle, PrefetchUop, RandomOracle, TableOracle
@@ -63,7 +61,6 @@ from repro.sim.scenarios import (
 )
 
 __all__ = [
-    "BACKENDS",
     "BatchResult",
     "CompiledMuDD",
     "MMUOracle",
@@ -79,7 +76,6 @@ __all__ = [
     "expected_totals",
     "noisy_samples",
     "path_distribution",
-    "resolve_backend",
     "simulate_dataset",
     "simulate_interval_matrix",
     "simulate_observation",

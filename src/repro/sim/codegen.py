@@ -1,14 +1,14 @@
-"""The codegen backend: specialised Python source per µDD.
+"""Generated simulator programs: specialised Python source per µDD.
 
-Where :class:`~repro.sim.engines.VectorEngine` still dispatches each
-decision through dicts, this backend unrolls the µDD's *decision tree*
-— the skeleton expanded under the traversal rule, so a property
-resolved earlier on a path is statically followed, never re-asked —
-into one generated ``run_trace`` function: nested ``if``/``elif``
-branch dispatch on sampler-returned indices, a leaf bucket increment
-per µop, no per-edge dict lookups. Leaf buckets flush with one
-``counts @ leaf_deltas`` multiply, exactly like the vector engine's
-macro-edge buckets.
+:class:`~repro.sim.executor.MuDDExecutor` runs a µop stream through
+one of these programs whenever the oracle is samplable: the µDD's
+*decision tree* — the :class:`~repro.sim.engines.Skeleton` expanded
+under the traversal rule, so a property resolved earlier on a path is
+statically followed, never re-asked — is unrolled into one generated
+``run_trace`` function: nested ``if``/``elif`` branch dispatch on
+sampler-returned indices, one leaf bucket increment per µop, no
+per-edge dict lookups. Leaf buckets fold into the counter totals with
+one ``counts @ leaf_deltas`` multiply at the end of the run.
 
 Generated programs are memoised in-process by the µDD fingerprint
 (:func:`repro.cone.cache.mudd_fingerprint` over the µDD plus counter
@@ -16,21 +16,18 @@ ordering). They are never persisted: regenerating one costs a fraction
 of a millisecond per bundled model, about what reading it back would,
 and only source generated in this process is ever compiled.
 
-The tree form only runs when it provably cannot trip the ``max_steps``
-valve (``max_path_len <= max_steps``) and the tree stays under the
-expansion caps; anything else — device oracles with live hooks,
-pathological fan-out, tight step bounds — falls back to the inherited
-vector walk, which is bit-for-bit the interpreter.
+A µDD whose tree exceeds the expansion caps has no program; the
+executor interprets it instead.
 """
 
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.sim.engines import VectorEngine
+from repro.sim.engines import Skeleton, sampler_for
 
 #: Expansion caps: beyond these the unrolled tree stops paying for
-#: itself (and deep nesting strains the Python parser), so the engine
-#: keeps the vector walk instead.
+#: itself (and deep nesting strains the Python parser), so the executor
+#: interprets the µDD instead.
 MAX_TREE_NODES = 20000
 MAX_TREE_DEPTH = 60
 
@@ -39,27 +36,47 @@ _DISPATCH_ERROR = (
 )
 
 
-# -- tree building and source emission --------------------------------------
-
 class _TreeProgram:
-    """One generated simulator: source text, its compiled code object,
-    and the bind-time leaf tables."""
+    """One generated simulator: its ``bind`` function, the leaf delta
+    table, and what the executor checks before running it.
 
-    __slots__ = ("source", "code", "leaf_deltas", "errors", "decisions")
+    ``decisions`` lists ``(node, property, branch labels)`` for every
+    decision the tree samples, and ``max_path_len`` is the longest
+    START→END walk in interpreter steps: a run whose ``max_steps`` bound
+    is below it must be interpreted, so the valve trips exactly where
+    the interpreter's does.
+    """
 
-    def __init__(self, source, leaf_deltas, errors, decisions):
-        self.source = source
-        self.code = compile(source, "<repro-codegen>", "exec")
+    __slots__ = ("leaf_deltas", "errors", "decisions", "max_path_len", "_bind")
+
+    def __init__(self, source, leaf_deltas, errors, decisions, max_path_len):
         self.leaf_deltas = np.asarray(leaf_deltas, dtype=np.int64)
         self.errors = list(errors)
         self.decisions = list(decisions)
-
-    def bind(self, samplers, counts):
-        """Exec the program and close it over this run's samplers and
-        leaf buckets; returns the ``run_trace(uops) -> n`` callable."""
+        self.max_path_len = max_path_len
         namespace = {"SimulationError": SimulationError}
-        exec(self.code, namespace)
-        return namespace["bind"](samplers, counts, self.errors)
+        exec(compile(source, "<repro-codegen>", "exec"), namespace)
+        self._bind = namespace["bind"]
+
+    def run(self, oracle, uops, totals, model="µDD"):
+        """Execute ``uops`` with ``oracle``'s samplers and add the
+        counter deltas into the ``totals`` list; returns the number of
+        µops completed. Completed µops are counted even when a sampler
+        or dispatch error stops the run."""
+        samplers = {
+            node: sampler_for(oracle, prop, values, model=model)
+            for node, prop, values in self.decisions
+        }
+        counts = [0] * len(self.leaf_deltas)
+        try:
+            self._bind(samplers, counts, self.errors)(uops)
+        finally:
+            n = sum(counts)
+            if n:
+                pending = np.asarray(counts, dtype=np.int64) @ self.leaf_deltas
+                for index, value in enumerate(pending.tolist()):
+                    totals[index] += value
+        return n
 
 
 def _build_tree(skeleton):
@@ -73,7 +90,7 @@ def _build_tree(skeleton):
     contributes no child fan-out (and no sampler call), exactly the
     interpreter's traversal rule.
     """
-    n_counters = skeleton.delta_matrix.shape[1]
+    n_counters = len(skeleton.compiled.counters)
     leaf_deltas = []
     errors = []
     budget = [MAX_TREE_NODES]
@@ -146,7 +163,6 @@ def _emit_source(root, decisions):
     for node in decisions:
         lines.append("        _s%d = samplers[%d]" % (node, node))
     lines.append("        _counts = counts")
-    lines.append("        n = 0")
     lines.append("        for _op in uops:")
 
     def emit(node, indent):
@@ -175,8 +191,6 @@ def _emit_source(root, decisions):
             emit(child, indent + 1)
 
     emit(root, 3)
-    lines.append("            n += 1")
-    lines.append("        return n")
     lines.append("    return run_trace")
     return "\n".join(lines) + "\n"
 
@@ -201,20 +215,32 @@ _PROGRAM_MEMO = {}
 _PROGRAM_MEMO_CAP = 256
 
 
-def _program_for(skeleton, fingerprint):
-    """The generated program for a skeleton, through the memo; ``None``
-    when the tree form is unavailable for this µDD."""
+def program_for(compiled):
+    """The generated program for a :class:`~repro.sim.executor.
+    CompiledMuDD`, through the memo; ``None`` when its decision tree
+    exceeds the expansion caps. A memo miss lowers the µDD to its
+    skeleton and emits the program under a ``sim.compile`` span."""
+    fingerprint = compiled.fingerprint
     cached = _PROGRAM_MEMO.get(fingerprint)
     if cached is not None:
         return cached or None
-    built = _build_tree(skeleton)
-    if built is None:
-        _memoize(fingerprint, False)
-        return None
-    root, leaf_deltas, errors = built
-    decisions = _tree_decisions(root)
-    source = _emit_source(root, decisions)
-    program = _TreeProgram(source, leaf_deltas, errors, decisions)
+    from repro.obs.trace import get_tracer
+
+    with get_tracer().span("sim.compile", model=compiled.name):
+        skeleton = Skeleton(compiled)
+        built = _build_tree(skeleton)
+        if built is None:
+            _memoize(fingerprint, False)
+            return None
+        root, leaf_deltas, errors = built
+        decisions = _tree_decisions(root)
+        source = _emit_source(root, decisions)
+        program = _TreeProgram(
+            source, leaf_deltas, errors,
+            [(node, skeleton.props[node], skeleton.values[node])
+             for node in decisions],
+            skeleton.max_path_len,
+        )
     _memoize(fingerprint, program)
     return program
 
@@ -225,78 +251,4 @@ def _memoize(fingerprint, program):
     _PROGRAM_MEMO[fingerprint] = program
 
 
-class CodegenEngine(VectorEngine):
-    """The codegen backend.
-
-    Samplable oracles run the generated tree-form ``run_trace`` when it
-    provably cannot trip ``max_steps``; everything else inherits the
-    vector walk. Leaf buckets are deferred and flushed alongside the
-    macro-edge buckets.
-    """
-
-    name = "codegen"
-
-    def __init__(self, compiled):
-        VectorEngine.__init__(self, compiled)
-        self._program = None
-        self._program_resolved = False
-        self._counts = None
-        self._counts_dirty = False
-
-    def _resolve_program(self):
-        if not self._program_resolved:
-            self._program_resolved = True
-            self._program = _program_for(
-                self.skeleton, self.skeleton.compiled.fingerprint
-            )
-            if self._program is not None:
-                self._counts = [0] * len(self._program.leaf_deltas)
-        return self._program
-
-    def _run_samplable(self, oracle, uops, max_steps):
-        if self.skeleton.max_path_len <= max_steps:
-            program = self._resolve_program()
-            if program is not None:
-                runner = program.bind(self._samplers(oracle), self._counts)
-                n = runner(uops)
-                if n:
-                    self._counts_dirty = True
-                return n
-        return VectorEngine._run_samplable(self, oracle, uops, max_steps)
-
-    def flush(self, executor):
-        VectorEngine.flush(self, executor)
-        if not self._counts_dirty:
-            return
-        pending = (
-            np.asarray(self._counts, dtype=np.int64)
-            @ self._program.leaf_deltas
-        )
-        totals = executor.totals
-        for index, value in enumerate(pending):
-            if value:
-                totals[index] += int(value)
-        self._counts = [0] * len(self._program.leaf_deltas)
-        self._counts_dirty = False
-
-    def reset(self):
-        VectorEngine.reset(self)
-        if self._counts is not None:
-            self._counts = [0] * len(self._program.leaf_deltas)
-        self._counts_dirty = False
-
-
-def auto_engine(compiled):
-    """The ``backend="auto"`` heuristic: codegen (it embeds the vector
-    walk as its own fallback, so it never loses more than compile cost),
-    dropping to plain vector only if program generation itself fails."""
-    try:
-        return CodegenEngine(compiled)
-    except Exception:
-        return VectorEngine(compiled)
-
-
-__all__ = [
-    "CodegenEngine",
-    "auto_engine",
-]
+__all__ = ["program_for"]

@@ -1,61 +1,32 @@
-"""Fast execution backends behind :class:`~repro.sim.executor.CompiledMuDD`.
+"""The decision skeleton behind the generated simulator programs.
 
 The interpreter in :mod:`repro.sim.executor` walks a µDD node-by-node
 per µop — correct, but every FOLLOW/COUNT hop costs a Python loop
-iteration. The engines here lower the compiled tables once more, into a
-*decision skeleton*: runs of non-decision nodes between decisions are
-compressed into macro-edges carrying a numpy counter-delta row, a step
-count, and the EVENT labels they pass. A µop then hops decision-to-
-decision, and counter accumulation is deferred — each traversed
-macro-edge bumps one bucket, and the buckets flush into the totals with
-a single ``hits @ delta_matrix`` multiply.
+iteration. :class:`Skeleton` lowers the compiled tables once more:
+runs of non-decision nodes between decisions are compressed into
+macro-edges carrying a counter-delta row and a step count, so a path is
+a sequence of decision-to-decision hops. :mod:`repro.sim.codegen`
+expands the skeleton into a decision tree and emits one Python program
+per µDD from it.
 
-Two engines build on the skeleton:
-
-* :class:`VectorEngine` (``backend="vector"``) — the skeleton walk
-  itself, plus a *samplable-oracle* fast loop that replaces
-  ``oracle.resolve`` with per-decision sampler closures
-  (:meth:`repro.sim.oracles.Oracle.compile_sampler`) returning branch
-  indices directly.
-* :class:`~repro.sim.codegen.CodegenEngine` (``backend="codegen"``) —
-  extends the vector engine with generated Python source per µDD (the
-  decision tree unrolled into nested ``if``/``elif`` dispatch, leaf
-  µpath buckets, no dict lookups), cached by µDD fingerprint.
-
-Every engine is bit-for-bit equivalent to the interpreter: oracle
-``resolve`` calls happen for the same properties, in the same order,
-with the same branch lists, and the ``max_steps`` valve raises the
-interpreter's exact :class:`SimulationError` before the first oracle
-call the interpreter would not have made
-(``tests/test_sim_equivalence.py`` fuzzes this).
+The generated program replaces ``oracle.resolve`` with per-decision
+sampler closures (:func:`sampler_for`), so it only runs for oracles
+whose device hooks are inert (:func:`hooks_are_noops`); hooked oracles
+such as :class:`~repro.sim.oracles.MMUOracle` always take the
+interpreter.
 """
 
-import numpy as np
-
-from repro.errors import SimulationError
 from repro.sim.oracles import Oracle
-
-#: Valid values of the ``backend=`` knob, in documentation order.
-BACKENDS = ("interpreter", "vector", "codegen", "auto")
-
-
-def resolve_backend(backend):
-    """Validate a ``backend=`` knob value, returning it unchanged."""
-    if backend not in BACKENDS:
-        raise SimulationError(
-            "unknown sim backend %r (choose from %s)"
-            % (backend, ", ".join(BACKENDS))
-        )
-    return backend
 
 
 def hooks_are_noops(oracle):
     """Whether an oracle's device hooks are provably inert, making it
     *samplable*: ``begin_uop``/``pending_uops`` are the base no-ops (or
     absent) and there is no ``on_event``. Resolution statefulness is
-    fine — fast loops preserve the per-µop, path-order call sequence —
+    fine — the generated program preserves the per-µop, path-order call
+    sequence —
     but a hooked oracle (e.g. :class:`~repro.sim.oracles.MMUOracle`)
-    must take the generic walk so its bookkeeping runs."""
+    must take the interpreter so its bookkeeping runs."""
     cls = type(oracle)
     begin = getattr(cls, "begin_uop", None)
     if begin is not None and begin is not Oracle.begin_uop:
@@ -86,17 +57,16 @@ class _MacroEdge:
 
     ``steps`` counts every node the interpreter would visit on this run
     (including the terminal decision, excluding END), ``deltas`` the
-    observed-counter increments, ``events`` the EVENT labels in node
-    order, and ``terminal`` the decision node index (``-1`` = END).
+    observed-counter increments, and ``terminal`` the decision node
+    index (``-1`` = END).
     """
 
-    __slots__ = ("eid", "steps", "deltas", "events", "terminal")
+    __slots__ = ("eid", "steps", "deltas", "terminal")
 
-    def __init__(self, eid, steps, deltas, events, terminal):
+    def __init__(self, eid, steps, deltas, terminal):
         self.eid = eid
         self.steps = steps
         self.deltas = deltas
-        self.events = events
         self.terminal = terminal
 
 
@@ -107,25 +77,17 @@ class Skeleton:
     ----------
     start_edge:
         Macro-edge from the START node.
-    props / values / branch_edges / branch_edge_list:
+    props / values / branch_edges:
         Per decision-node index: property name, branch labels in edge
-        order, ``{label: macro-edge}``, and the same edges as a list
-        aligned with ``values`` (for index-dispatching samplers).
-    delta_matrix:
-        ``E x N`` int64 counter deltas; ``hits @ delta_matrix`` flushes
-        deferred counts.
-    repeats:
-        Whether any property guards more than one decision node — if
-        not, the per-µop assignments memo can be skipped entirely.
+        order, and ``{label: macro-edge}`` in the same order.
     max_path_len:
         Longest START→END path in interpreter steps; a run whose
         ``max_steps`` bound is at least this can never trip the valve.
     """
 
     __slots__ = (
-        "compiled", "edges", "delta_matrix", "start_edge", "props",
-        "values", "branch_edges", "branch_edge_list", "repeats",
-        "max_path_len",
+        "compiled", "edges", "start_edge", "props", "values",
+        "branch_edges", "max_path_len",
     )
 
     def __init__(self, compiled):
@@ -135,7 +97,6 @@ class Skeleton:
         self.props = {}
         self.values = {}
         self.branch_edges = {}
-        self.branch_edge_list = {}
         edge_for = {}
 
         pending = [compiled.start]
@@ -157,26 +118,12 @@ class Skeleton:
             self.branch_edges[terminal] = {
                 label: edge_for[target] for label, target in branches.items()
             }
-            self.branch_edge_list[terminal] = [
-                edge_for[target] for target in branches.values()
-            ]
-        self.delta_matrix = np.array(
-            [edge.deltas for edge in self.edges], dtype=np.int64
-        ).reshape(len(self.edges), n_counters)
         self.start_edge = edge_for[compiled.start]
-        seen = set()
-        self.repeats = False
-        for prop in self.props.values():
-            if prop in seen:
-                self.repeats = True
-                break
-            seen.add(prop)
         self.max_path_len = self._longest_path()
 
     def _lower(self, compiled, anchor, n_counters):
         ops = compiled.ops
         deltas = [0] * n_counters
-        events = []
         steps = 0
         node = anchor
         while True:
@@ -192,10 +139,8 @@ class Skeleton:
                 slot = compiled.slots[node]
                 if slot >= 0:
                     deltas[slot] += 1
-            elif compiled.events[node] is not None:
-                events.append(compiled.events[node])
             node = compiled.nexts[node]
-        edge = _MacroEdge(len(self.edges), steps, deltas, tuple(events), terminal)
+        edge = _MacroEdge(len(self.edges), steps, deltas, terminal)
         self.edges.append(edge)
         return edge
 
@@ -209,8 +154,8 @@ class Skeleton:
             if edge.eid in memo:
                 continue
             successors = (
-                self.branch_edge_list[edge.terminal]
-                if edge.terminal >= 0 else []
+                self.branch_edges[edge.terminal].values()
+                if edge.terminal >= 0 else ()
             )
             if expanded:
                 tail = max(
@@ -225,167 +170,8 @@ class Skeleton:
         return memo[self.start_edge.eid]
 
 
-class VectorEngine:
-    """The vectorised backend: skeleton walk + deferred numpy flush."""
-
-    name = "vector"
-
-    def __init__(self, compiled):
-        self.skeleton = Skeleton(compiled)
-        self._hits = [0] * len(self.skeleton.edges)
-        self._dirty = False
-
-    # -- generic per-µop walk (exact hook semantics) ----------------------
-    def run_uop(self, executor, oracle, op):
-        """One µop through the skeleton; bit-for-bit the interpreter's
-        ``run_uop`` (same resolve order, same errors), with counter
-        bumps deferred into macro-edge buckets."""
-        skeleton = self.skeleton
-        hits = self._hits
-        on_event = getattr(oracle, "on_event", None)
-        max_steps = executor.max_steps
-        name = skeleton.compiled.name
-        assignments = {}
-        edge = skeleton.start_edge
-        steps = 0
-        while True:
-            steps += edge.steps
-            if steps > max_steps:
-                raise SimulationError(
-                    "µop exceeded %d steps in %r" % (max_steps, name)
-                )
-            hits[edge.eid] += 1
-            if on_event is not None and edge.events:
-                for label in edge.events:
-                    on_event(label, op)
-            terminal = edge.terminal
-            if terminal < 0:
-                break
-            prop = skeleton.props[terminal]
-            value = assignments.get(prop)
-            if value is None:
-                value = oracle.resolve(
-                    prop, list(skeleton.values[terminal]), op
-                )
-                assignments[prop] = value
-            edge = skeleton.branch_edges[terminal].get(value)
-            if edge is None:
-                raise SimulationError(
-                    "oracle resolved %s=%r but %r offers branches %s"
-                    % (prop, value, name, ", ".join(skeleton.values[terminal]))
-                )
-        self._dirty = True
-        executor.n_uops += 1
-        return assignments
-
-    # -- whole-trace drivers ----------------------------------------------
-    def run_trace(self, executor, oracle, uops):
-        """Execute a µop stream. Samplable oracles take the tight
-        sampler loop; hooked oracles take the generic walk with the
-        interpreter's exact begin/inject ordering."""
-        if hooks_are_noops(oracle):
-            executor.n_uops += self._run_samplable(
-                oracle, uops, executor.max_steps
-            )
-            return
-        begin = getattr(oracle, "begin_uop", None)
-        for op in executor._uop_stream(oracle, uops):
-            if begin is not None:
-                begin(op)
-            self.run_uop(executor, oracle, op)
-
-    def _samplers(self, oracle):
-        skeleton = self.skeleton
-        name = skeleton.compiled.name
-        return {
-            terminal: sampler_for(
-                oracle, skeleton.props[terminal],
-                skeleton.values[terminal], model=name,
-            )
-            for terminal in skeleton.props
-        }
-
-    def _run_samplable(self, oracle, uops, max_steps):
-        """The fast loop: per-decision sampler closures, no resolve
-        dispatch, no event checks. Returns the µop count executed."""
-        skeleton = self.skeleton
-        samplers = self._samplers(oracle)
-        hits = self._hits
-        start = skeleton.start_edge
-        branch_list = skeleton.branch_edge_list
-        n = 0
-        if skeleton.max_path_len <= max_steps and not skeleton.repeats:
-            for op in uops:
-                edge = start
-                hits[edge.eid] += 1
-                terminal = edge.terminal
-                while terminal >= 0:
-                    edge = branch_list[terminal][samplers[terminal](op)]
-                    hits[edge.eid] += 1
-                    terminal = edge.terminal
-                n += 1
-        else:
-            props = skeleton.props
-            values = skeleton.values
-            branch_map = skeleton.branch_edges
-            name = skeleton.compiled.name
-            for op in uops:
-                edge = start
-                steps = 0
-                assignments = {}
-                while True:
-                    steps += edge.steps
-                    if steps > max_steps:
-                        raise SimulationError(
-                            "µop exceeded %d steps in %r" % (max_steps, name)
-                        )
-                    hits[edge.eid] += 1
-                    terminal = edge.terminal
-                    if terminal < 0:
-                        break
-                    prop = props[terminal]
-                    label = assignments.get(prop)
-                    if label is None:
-                        branch = samplers[terminal](op)
-                        assignments[prop] = values[terminal][branch]
-                        edge = branch_list[terminal][branch]
-                    else:
-                        edge = branch_map[terminal].get(label)
-                        if edge is None:
-                            raise SimulationError(
-                                "oracle resolved %s=%r but %r offers "
-                                "branches %s"
-                                % (prop, label, name,
-                                   ", ".join(values[terminal]))
-                            )
-                n += 1
-        if n:
-            self._dirty = True
-        return n
-
-    # -- deferred counters --------------------------------------------------
-    def flush(self, executor):
-        """Fold pending macro-edge hits into the executor's totals."""
-        if not self._dirty:
-            return
-        pending = np.asarray(self._hits, dtype=np.int64) @ self.skeleton.delta_matrix
-        totals = executor.totals
-        for index, value in enumerate(pending):
-            if value:
-                totals[index] += int(value)
-        self._hits = [0] * len(self.skeleton.edges)
-        self._dirty = False
-
-    def reset(self):
-        self._hits = [0] * len(self.skeleton.edges)
-        self._dirty = False
-
-
 __all__ = [
-    "BACKENDS",
     "Skeleton",
-    "VectorEngine",
     "hooks_are_noops",
-    "resolve_backend",
     "sampler_for",
 ]

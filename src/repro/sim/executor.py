@@ -20,17 +20,18 @@ checks).
 
 The interpreter pre-lowers the µDD into dense integer tables
 (:class:`CompiledMuDD`) so the per-µop walk touches only list indexing —
-no dict-of-objects traversal on the hot path. Faster still are the
-compiled backends (``backend="vector"``/``"codegen"``/``"auto"``, see
-:mod:`repro.sim.engines` and :mod:`repro.sim.codegen`): bit-for-bit
-equivalent engines that compress the walk to decision-to-decision hops
-with deferred numpy counter accumulation, or run generated per-µDD
-Python source. The interpreter (``backend="interpreter"``, the default)
-remains the reference semantics every backend is fuzzed against.
+no dict-of-objects traversal on the hot path. It is the reference
+semantics. :meth:`MuDDExecutor.run` takes one faster path when it can
+prove it bit-for-bit equal: a samplable oracle (no device hooks) and a
+µDD with a generated program (:mod:`repro.sim.codegen`) whose longest
+path fits under ``max_steps``. ``tests/test_sim_equivalence.py`` fuzzes
+that path against the interpreter.
 """
 
 from repro.errors import SimulationError
 from repro.mudd.graph import COUNTER, DECISION, END, EVENT, MuDD
+from repro.sim.codegen import program_for
+from repro.sim.engines import hooks_are_noops
 
 # Node-kind opcodes of the lowered form.
 _OP_FOLLOW = 0   # START / EVENT: unconditionally follow the single edge
@@ -109,8 +110,8 @@ class CompiledMuDD:
     def branch_values(self, node_index):
         """Branch labels of a decision node, in edge order.
 
-        Edge order is load-bearing: samplers compiled by the fast
-        backends dispatch on branch *indices* into this list, and the
+        Edge order is load-bearing: samplers bound into generated
+        programs dispatch on branch *indices* into this list, and the
         ``branches`` dicts preserve µDD edge insertion order across
         compile and pickle round-trips
         (``tests/test_sim_equivalence.py`` pins this).
@@ -133,21 +134,12 @@ class MuDDExecutor:
     max_steps:
         Safety valve on nodes visited per µop (malformed oracles cannot
         loop because µDDs are acyclic, but a generous bound keeps the
-        failure mode explicit). Enforced identically — same
-        :class:`SimulationError`, same message, same oracle-call cutoff
-        — by every backend.
-    backend:
-        Execution engine: ``"interpreter"`` (the default; the reference
-        node-by-node walk), ``"vector"`` (decision-skeleton walk with
-        deferred numpy counter accumulation), ``"codegen"`` (generated
-        per-µDD Python source, cached by µDD fingerprint), or
-        ``"auto"`` (codegen with built-in fallbacks). All backends are
-        bit-for-bit equivalent; the knob only trades compile time for
-        per-µop speed.
+        failure mode explicit). A bound below the µDD's longest path
+        keeps :meth:`run` on the interpreter, so the valve trips with
+        the same :class:`SimulationError` after the same oracle calls.
     """
 
-    def __init__(self, mudd, counters=None, max_steps=100000,
-                 backend="interpreter"):
+    def __init__(self, mudd, counters=None, max_steps=100000):
         if isinstance(mudd, CompiledMuDD):
             self.compiled = mudd
             if counters is not None and list(counters) != mudd.counters:
@@ -159,42 +151,20 @@ class MuDDExecutor:
         self.max_steps = max_steps
         self.totals = [0] * len(self.compiled.counters)
         self.n_uops = 0
-        from repro.sim.engines import resolve_backend
 
-        self.backend = resolve_backend(backend)
-        self._engine = self._build_engine()
-
-    def _build_engine(self):
-        """Lower the compiled tables for the requested backend (``None``
-        for the interpreter), under a ``sim.compile`` obs span."""
-        if self.backend == "interpreter":
+    def _fast_program(self, oracle):
+        """The generated program :meth:`run` may use for ``oracle``, or
+        ``None`` when the run must be interpreted: a hooked oracle, a
+        tree over the expansion caps, or a step bound tighter than the
+        longest path. The program is built on the first samplable run
+        of its µDD (and memoized by fingerprint), so hooked runs never
+        pay its compile cost."""
+        if not hooks_are_noops(oracle):
             return None
-        from repro.obs.trace import get_tracer
-
-        tracer = get_tracer()
-        with tracer.span(
-            "sim.compile", model=self.compiled.name, backend=self.backend
-        ):
-            if self.backend == "vector":
-                from repro.sim.engines import VectorEngine
-
-                engine = VectorEngine(self.compiled)
-            elif self.backend == "codegen":
-                from repro.sim.codegen import CodegenEngine
-
-                engine = CodegenEngine(self.compiled)
-            else:
-                from repro.sim.codegen import auto_engine
-
-                engine = auto_engine(self.compiled)
-        if tracer.enabled:
-            tracer.metrics.counter("sim.backend.%s" % engine.name).inc()
-        return engine
-
-    def _flush(self):
-        """Fold any backend-deferred counts into ``totals``."""
-        if self._engine is not None:
-            self._engine.flush(self)
+        program = program_for(self.compiled)
+        if program is None or program.max_path_len > self.max_steps:
+            return None
+        return program
 
     @property
     def counters(self):
@@ -206,23 +176,8 @@ class MuDDExecutor:
 
         ``op`` is handed to the oracle with every resolution request so
         stateful oracles (the MMU devices) know which access they are
-        deciding for.
+        deciding for. Always interpreted: it is the reference walk.
         """
-        if self._engine is not None:
-            assignments = self._engine.run_uop(self, oracle, op)
-            self._engine.flush(self)
-            return assignments
-        return self._interpret_uop(oracle, op)
-
-    def _step(self, oracle, op):
-        """One µop on the active engine, counters possibly deferred —
-        the batch-path primitive (``run``/``run_intervals`` flush at
-        read points instead of per µop)."""
-        if self._engine is not None:
-            return self._engine.run_uop(self, oracle, op)
-        return self._interpret_uop(oracle, op)
-
-    def _interpret_uop(self, oracle, op):
         compiled = self.compiled
         ops = compiled.ops
         totals = self.totals
@@ -280,10 +235,15 @@ class MuDDExecutor:
         ``uops`` is any iterable of µops — :meth:`Workload.ops
         <repro.workloads.base.Workload.ops>` output, a
         :class:`~repro.workloads.trace.TraceWorkload` replay, or plain
-        ``None`` placeholders for oracles that ignore the µop.
+        ``None`` placeholders for oracles that ignore the µop. Runs the
+        generated program when :meth:`_fast_program` allows it, else
+        interprets µop by µop; the totals are identical either way.
         """
-        if self._engine is not None:
-            self._engine.run_trace(self, oracle, uops)
+        program = self._fast_program(oracle)
+        if program is not None:
+            self.n_uops += program.run(
+                oracle, uops, self.totals, model=self.compiled.name
+            )
             return self.snapshot()
         begin = getattr(oracle, "begin_uop", None)
         for op in self._uop_stream(oracle, uops):
@@ -309,7 +269,6 @@ class MuDDExecutor:
             if not schedule or any(size <= 0 for size in schedule):
                 raise SimulationError("interval schedule must be positive ints")
         begin = getattr(oracle, "begin_uop", None)
-        self._flush()
         previous = list(self.totals)
         in_interval = 0
         slot = 0
@@ -317,10 +276,9 @@ class MuDDExecutor:
         for op in self._uop_stream(oracle, uops):
             if begin is not None:
                 begin(op)
-            self._step(oracle, op)
+            self.run_uop(oracle, op)
             in_interval += 1
             if in_interval == target:
-                self._flush()
                 current = list(self.totals)
                 yield {
                     name: current[i] - previous[i]
@@ -331,7 +289,6 @@ class MuDDExecutor:
                 slot += 1
                 target = schedule[slot % len(schedule)]
         if in_interval:
-            self._flush()
             current = list(self.totals)
             yield {
                 name: current[i] - previous[i]
@@ -341,7 +298,6 @@ class MuDDExecutor:
     # -- results ---------------------------------------------------------------
     def snapshot(self):
         """Cumulative counter totals (counter name → count)."""
-        self._flush()
         return {
             name: self.totals[i] for i, name in enumerate(self.compiled.counters)
         }
@@ -350,12 +306,9 @@ class MuDDExecutor:
         """Zero the accumulated totals (the compiled model is reused)."""
         self.totals = [0] * len(self.compiled.counters)
         self.n_uops = 0
-        if self._engine is not None:
-            self._engine.reset()
 
     def __repr__(self):
-        return "MuDDExecutor(%r, %d µops executed, backend=%s)" % (
+        return "MuDDExecutor(%r, %d µops executed)" % (
             self.compiled.name,
             self.n_uops,
-            self.backend,
         )

@@ -46,7 +46,6 @@ def simulate_observation(
     multiplexer=None,
     noisy=False,
     name=None,
-    backend="auto",
 ):
     """Simulate one measured run of ``model``: exact totals plus a
     perf-style interval sample matrix.
@@ -56,9 +55,8 @@ def simulate_observation(
     draws. ``noisy=True`` (or an explicit ``multiplexer``) replays the
     interval stream through counter multiplexing so the samples carry
     realistic correlated noise. Returns an
-    :class:`~repro.models.dataset.Observation`. ``backend`` is the sim
-    backend knob (compiled backends memoize the model's µpath
-    distribution across runs; totals are identical for every choice).
+    :class:`~repro.models.dataset.Observation`. The model's µpath
+    distribution is memoized across runs (:func:`batch_simulate`).
     """
     from repro.models.dataset import Observation
     from repro.obs.trace import get_tracer
@@ -73,7 +71,6 @@ def simulate_observation(
         )
     with get_tracer().span(
         "sim.observe", model=mudd.name, uops=n_uops, intervals=n_intervals,
-        backend=backend,
     ):
         if noisy and multiplexer is None:
             multiplexer = default_multiplexer(seed=seed)
@@ -84,14 +81,10 @@ def simulate_observation(
             weights=weights,
             seed=seed,
             multiplexer=multiplexer,
-            backend=backend,
         )
         totals = samples.true_totals()
         if remainder:
-            tail = batch_simulate(
-                mudd, remainder, weights=weights, seed=seed + 1,
-                backend=backend,
-            )
+            tail = batch_simulate(mudd, remainder, weights=weights, seed=seed + 1)
             for counter, value in tail.observation(0).items():
                 totals[counter] += value
         totals = {counter: int(value) for counter, value in totals.items()}
@@ -105,7 +98,7 @@ def simulate_observation(
 
 
 def simulate_dataset(
-    model, n_observations, n_uops=20000, weights=None, seed=0, noisy=False, **options
+    model, n_observations, n_uops=20000, weights=None, seed=0, noisy=False
 ):
     """A tuple of independent simulated observations of one model — the
     synthetic analogue of :func:`repro.models.dataset.standard_dataset`,
@@ -119,27 +112,24 @@ def simulate_dataset(
             seed=seed + run,
             noisy=noisy,
             name="sim:%s/run%d" % (mudd.name, run),
-            **options
         )
         for run in range(n_observations)
     )
 
 
 def trace_observation(model, oracle, workload, n_uops, n_intervals=20,
-                      name=None, backend="interpreter"):
+                      name=None):
     """Simulate one run the event-driven way: execute the µDD over a
     workload's µop stream with a stateful (device) oracle, collecting
     per-interval deltas. This is the path real address traces take
-    (:class:`repro.workloads.trace.TraceWorkload` is a workload).
-    ``backend`` selects the :class:`MuDDExecutor` engine — identical
-    observations, different wall-clock."""
+    (:class:`repro.workloads.trace.TraceWorkload` is a workload)."""
     from repro.models.dataset import Observation
 
     mudd = as_mudd(model, name=name)
     if n_intervals < 2:
         raise SimulationError("need at least 2 intervals per observation")
     per_interval = max(1, n_uops // n_intervals)
-    executor = MuDDExecutor(mudd, backend=backend)
+    executor = MuDDExecutor(mudd)
     intervals = list(
         executor.run_intervals(oracle, workload.ops(n_uops), per_interval)
     )
@@ -155,7 +145,7 @@ def trace_observation(model, oracle, workload, n_uops, n_intervals=20,
 
 def closed_loop(observed_model, candidate_models, n_uops=20000, weights=None,
                 seed=0, backend="exact", use_regions=False, confidence=0.99,
-                cache_dir=None, sim_backend="auto"):
+                cache_dir=None):
     """Simulate observations from one model; test every candidate.
 
     Returns ``{candidate_name: AnalysisReport}``. The observed model
@@ -173,8 +163,7 @@ def closed_loop(observed_model, candidate_models, n_uops=20000, weights=None,
     µpath enumeration (and constraint deduction, once a candidate has
     ever been refuted) even across processes and CI runs. Each report
     comes from :meth:`repro.pipeline.CounterPoint.analyze`, a one-op
-    plan. ``backend`` is the LP backend; ``sim_backend`` the simulation
-    engine knob (identical observations for every choice).
+    plan. ``backend`` is the LP backend.
     """
     from repro.cone.cache import get_model_cone
     from repro.pipeline import CounterPoint
@@ -190,7 +179,7 @@ def closed_loop(observed_model, candidate_models, n_uops=20000, weights=None,
         seen.add(candidate.name)
     observation = simulate_observation(
         observed_model, n_uops=n_uops, weights=weights, seed=seed,
-        noisy=use_regions, backend=sim_backend,
+        noisy=use_regions,
     )
     counters = observation.samples.counters
     counterpoint = CounterPoint(backend=backend, confidence=confidence)

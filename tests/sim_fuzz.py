@@ -2,8 +2,8 @@
 
 Grows random acyclic decision diagrams over all five node kinds
 (START / EVENT / COUNTER / DECISION / END) so the fuzz sweep in
-``test_sim_equivalence.py`` exercises every structural feature the
-execution backends must agree on:
+``test_sim_equivalence.py`` exercises every structural feature on which
+the generated program and the reference interpreter must agree:
 
 * configurable depth and decision fan-out,
 * repeated properties along a path (the traversal rule: a property

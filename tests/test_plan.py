@@ -25,7 +25,7 @@ import pytest
 import repro.results.session as session_module
 from repro.cone import ModelCone
 from repro.errors import AnalysisError
-from repro.models.bundled import load_bundled_model
+from repro.models.bundled import bundled_model_source, load_bundled_model
 from repro.pipeline import CounterPoint
 from repro.plan import (
     DryRunReport,
@@ -176,6 +176,49 @@ class TestPlanSpec:
         }]
         with pytest.raises(AnalysisError, match="positive int"):
             Plan.from_json(json.dumps(anonymous))
+
+    def test_cross_refute_rejects_duplicate_model_names(self):
+        # The refutation matrix is keyed by model name: a duplicate
+        # used to collapse silently into a 1x1 matrix.
+        with pytest.raises(AnalysisError, match="'pde_initial' twice"):
+            Plan().cross_refute(["pde_initial", "pde_initial"])
+        # Two different DSL sources both default to the name "model".
+        with pytest.raises(AnalysisError, match="'model' twice"):
+            Plan().cross_refute([
+                bundled_model_source("pde_initial"),
+                bundled_model_source("pde_refined"),
+            ])
+        with CounterPoint(backend="scipy") as pipeline:
+            with pytest.raises(AnalysisError, match="'pde_initial' twice"):
+                pipeline.cross_refute(
+                    ["pde_initial", as_mudd("pde_initial")],
+                    n_observations=1, n_uops=2000,
+                )
+        # Hand-edited JSON (and serve submissions) fail at load time.
+        data = json.loads(overlap_plan().to_json())
+        matrix = next(op for op in data["ops"] if op["op"] == "cross_refute")
+        matrix["models"] = ["pde_refined", "pde_refined"]
+        with pytest.raises(AnalysisError, match="'pde_refined' twice"):
+            Plan.from_json(json.dumps(data))
+
+    def test_legacy_sim_backend_key_is_ignored(self):
+        # Plans written while simulate_dataset ops carried an engine
+        # choice still load; the key is ignored like any unknown op key
+        # and never written back.
+        plan = overlap_plan()
+        data = json.loads(plan.to_json())
+        for op in data["ops"]:
+            if op["op"] == "simulate_dataset":
+                op["sim_backend"] = "vector"
+        legacy = Plan.from_json(json.dumps(data))
+        assert legacy == plan
+        assert "sim_backend" not in legacy.to_json()
+        with CounterPoint(backend="scipy") as pipeline:
+            expected = pipeline.run(plan)
+        with CounterPoint(backend="scipy") as pipeline:
+            result = pipeline.run(legacy)
+        for key in ("results", "order", "stats"):
+            assert result.to_dict()[key] == expected.to_dict()[key], key
 
     def test_region_mode_rejected_for_serialized_inline_points(self):
         # Inline {'name','point'} entries carry exact totals only —

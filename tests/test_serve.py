@@ -18,14 +18,15 @@ sockets:
   :class:`~repro.errors.QueueFullError` / HTTP 429 + Retry-After.
 """
 
-import json
 import threading
 import time
 
 import pytest
 
 import repro.results.session as session_module
-from repro.errors import JobCancelled, QueueFullError, ReproError, ServeError
+from repro.errors import (
+    AnalysisError, JobCancelled, QueueFullError, ReproError, ServeError,
+)
 from repro.pipeline import CounterPoint
 from repro.plan import Plan, SerialScheduler
 from repro.serve import (
@@ -385,6 +386,14 @@ class TestPlanService:
             service.submit(12345)
         with pytest.raises(ReproError):
             service.submit(overlap_plan(), priority="urgent")
+
+    def test_duplicate_cross_refute_models_refused(self, service):
+        plan = overlap_plan().to_dict()
+        for op in plan["ops"]:
+            if op["op"] == "cross_refute":
+                op["models"] = ["pde_initial", "pde_initial"]
+        with pytest.raises(AnalysisError, match="'pde_initial' twice"):
+            service.submit(plan)
 
     def test_submit_after_close_rejected(self):
         svc = PlanService(workers=1, backend="scipy")
