@@ -785,7 +785,7 @@ def build_parser():
     source.add_argument("--observation", help="comma-separated name=value totals")
     source.add_argument("--perf-csv", help="perf stat -I -x, interval CSV file")
     analyze.add_argument("--backend", default="exact", choices=("exact", "scipy"),
-                         help="LP backend: exact rational simplex (certified "
+                         help="LP backend: exact (exactly certified "
                               "verdicts) or scipy/HiGHS (fast)")
     analyze.add_argument("--confidence", type=float, default=0.99,
                          help="confidence level for --perf-csv regions")

@@ -15,7 +15,7 @@ from fractions import Fraction
 from repro.errors import AnalysisError
 from repro.cone.constraints import ModelConstraint
 from repro.geometry.halfspace import INEQUALITY, ConeConstraint
-from repro.linalg import as_fraction_vector, dot, scale_to_integers
+from repro.linalg import int_dot, scale_to_integers
 from repro.lp import GE, MINIMIZE, LinearProgram, Status, solve
 
 
@@ -79,11 +79,13 @@ def _rationalize(normal, max_denominator=10**6):
 
 
 def _is_valid_certificate(model_cone, normal, vector):
-    """Exact re-verification of a (possibly rounded) certificate."""
-    normal = as_fraction_vector(normal)
-    if dot(normal, vector) >= 0:
+    """Exact re-verification of a (possibly rounded) certificate.
+
+    The normal and the observation are scaled to integers by positive
+    factors, which keeps every sign, so the check runs as one integer
+    matvec over the signatures (:class:`~repro.linalg.IntRows`).
+    """
+    normal = scale_to_integers(normal)
+    if int_dot(normal, scale_to_integers(vector)) >= 0:
         return False
-    for signature in model_cone.signatures:
-        if dot(normal, as_fraction_vector(signature)) < 0:
-            return False
-    return True
+    return min(model_cone.signature_ints().matvec(normal), default=0) >= 0

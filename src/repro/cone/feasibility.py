@@ -13,10 +13,12 @@ A point observation is the degenerate case where the box has zero
 half-lengths in every direction — and degenerates further: the counter
 variables are pinned to the observed values, so
 :func:`test_point_feasibility` eliminates them and solves the reduced
-flow system ``S^T f = v, f >= 0`` directly. On the ``"scipy"`` backend
-the reduced system goes straight to ``scipy.optimize.linprog`` against a
-float signature matrix cached on the model cone, bypassing the LP
-modelling layer entirely.
+flow system ``S^T f = v, f >= 0`` directly, bypassing the LP modelling
+layer on both backends. On ``"scipy"`` it goes to HiGHS against a float
+signature matrix cached on the model cone. On ``"exact"`` it goes to
+:func:`repro.lp.certified.point_in_cone`: a numpy NNLS proposal, then an
+exact certificate (a flow witness or a Farkas vector, both checked in
+integers), with the Fraction simplex as the counted fallback.
 
 :func:`test_points_feasibility` is the batched entry point: when the
 model's facet constraints have already been deduced, every observation
@@ -24,14 +26,17 @@ is first screened against them with exact integer dot products — a facet
 violation is an exact refutation certificate, no LP needed — and only
 the survivors run the flow LP.
 
-Feasibility answers come from the exact rational simplex by default, so
-"infeasible" verdicts are exact consequences of the inputs.
+On the default ``"exact"`` backend every answer is exact, so
+"infeasible" verdicts are exact consequences of the inputs: point
+verdicts carry an integer-checked certificate or come from the Fraction
+simplex, and region verdicts still come from the Fraction simplex.
 """
 
 from fractions import Fraction
 
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, LPError
 from repro.lp import EQ, GE, LE, LinearProgram, Status, solve
+from repro.lp.certified import point_in_cone
 from repro.linalg import as_fraction_vector
 from repro.obs.trace import get_tracer
 
@@ -150,7 +155,9 @@ def test_point_feasibility(model_cone, observation, backend="exact"):
     ``observation`` is a counter-name mapping or an ordered sequence.
     The counter variables of the Appendix A LP are pinned by the
     observation, so the reduced system ``S^T f = v, f >= 0`` is solved
-    instead (identical verdicts, much smaller program).
+    instead (identical verdicts, much smaller program). ``"exact"``
+    certifies the verdict (:mod:`repro.lp.certified`); ``"scipy"``
+    takes HiGHS's status.
     """
     vector = model_cone.vector_from_observation(observation)
     if any(value < 0 for value in vector):
@@ -165,28 +172,15 @@ def test_point_feasibility(model_cone, observation, backend="exact"):
         )
     if backend == "scipy":
         return _point_feasibility_scipy(model_cone, vector)
-    lp = LinearProgram()
-    flow_names = []
-    for index in range(len(model_cone.signatures)):
-        name = "flow_%d" % index
-        lp.add_variable(name)
-        flow_names.append(name)
-    for coord in range(len(model_cone.counters)):
-        coefficients = {
-            flow_names[index]: Fraction(signature[coord])
-            for index, signature in enumerate(model_cone.signatures)
-            if signature[coord] != 0
-        }
-        if not coefficients:
-            if vector[coord] != 0:
-                return FeasibilityResult(False)
-            continue
-        lp.add_constraint(coefficients, EQ, vector[coord], name="flow_eq_%d" % coord)
-    result = solve(lp, backend=backend)
-    if result.status != Status.OPTIMAL:
+    if backend != "exact":
+        raise LPError("unknown LP backend %r" % (backend,))
+    verdict = point_in_cone(
+        model_cone.signatures, vector,
+        array=model_cone.signature_array(), ints=model_cone.signature_ints(),
+    )
+    if not verdict.feasible:
         return FeasibilityResult(False)
-    flows = [result.assignment[name] for name in flow_names]
-    return FeasibilityResult(True, flows=flows, witness=list(vector))
+    return FeasibilityResult(True, flows=verdict.flows, witness=list(vector))
 
 
 def test_region_feasibility(model_cone, region, backend="exact"):

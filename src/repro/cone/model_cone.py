@@ -9,7 +9,7 @@ observations (dicts of counter name → value) can be tested directly.
 
 from repro.errors import AnalysisError
 from repro.geometry import Cone
-from repro.linalg import as_fraction_vector
+from repro.linalg import IntRows, as_fraction_vector
 from repro.mudd import MuDD, signature_matrix
 
 
@@ -51,6 +51,7 @@ class ModelCone:
         self.cone = Cone(self.signatures, ambient_dim=len(self.counters))
         self._constraints = None
         self._signature_array = None
+        self._signature_ints = None
         self._flow_model = None
         self._flow_model_built = False
         self._fingerprint = None
@@ -152,12 +153,20 @@ class ModelCone:
 
     def signature_array(self):
         """Cached ``N x P`` float matrix of signatures (counters by
-        µpaths) — the scipy fast path's equality matrix."""
+        µpaths) — the HiGHS equality matrix and the exact path's
+        float-proposal input."""
         if self._signature_array is None:
             import numpy as np
 
             self._signature_array = np.array(self.signatures, dtype=float).T
         return self._signature_array
+
+    def signature_ints(self):
+        """Cached :class:`~repro.linalg.IntRows` of the signatures: exact
+        ``signature . y`` products for every signature at once."""
+        if self._signature_ints is None:
+            self._signature_ints = IntRows(self.signatures, len(self.counters))
+        return self._signature_ints
 
     def flow_model(self):
         """Cached persistent HiGHS model of the flow system ``S^T f = v``
@@ -223,14 +232,15 @@ class ModelCone:
         """Pickle everything except process-local accelerators.
 
         The persistent HiGHS flow model wraps a C++ handle and cannot
-        cross process boundaries; the float signature array is cheap to
-        rebuild. Deduced constraints *are* kept — they are the
-        expensive artefact pool workers ship back.
+        cross process boundaries; the float and int signature arrays
+        are cheap to rebuild. Deduced constraints *are* kept — they are
+        the expensive artefact pool workers ship back.
         """
         state = dict(self.__dict__)
         state["_flow_model"] = None
         state["_flow_model_built"] = False
         state["_signature_array"] = None
+        state["_signature_ints"] = None
         return state
 
     def __setstate__(self, state):

@@ -20,14 +20,16 @@ This is mathematically equivalent to the paper's "convex hull of
 but avoids general convex-hull machinery.
 
 Generators are stored as gcd-reduced plain-int vectors (the integer fast
-path), and membership LPs can bypass the modelling layer entirely on the
-``"scipy"`` backend via a cached float matrix — the win that makes the
-interior-removal step of constraint deduction cheap.
+path). Membership bypasses the LP modelling layer on both backends: the
+``"scipy"`` backend solves against a cached float matrix — the win that
+makes the interior-removal step of constraint deduction cheap — and the
+``"exact"`` backend goes through the certified point-feasibility routine
+(:func:`repro.lp.certified.point_in_cone`).
 """
 
 from fractions import Fraction
 
-from repro.errors import GeometryError
+from repro.errors import GeometryError, LPError
 from repro.geometry.double_description import extreme_rays
 from repro.geometry.halfspace import EQUALITY, INEQUALITY, ConeConstraint
 from repro.linalg import (
@@ -40,6 +42,7 @@ from repro.linalg import (
     rref_fast,
     solve,
 )
+from repro.lp.certified import point_in_cone
 
 
 def coordinates_in_basis(basis, vector):
@@ -75,31 +78,6 @@ def coordinates_in_basis_many(basis, vectors):
             coords[pivot_col] = reduced[row_index][dim + offset]
         results.append(coords)
     return results
-
-
-def _membership_lp_exact(generators, point, backend):
-    """Does ``point`` lie in ``cone(generators)``? Direct LP build over
-    flow variables (no Cone construction)."""
-    from repro.lp import EQ, LinearProgram, Status, solve as lp_solve
-
-    lp = LinearProgram()
-    flow_names = []
-    for i in range(len(generators)):
-        name = "f%d" % i
-        lp.add_variable(name)
-        flow_names.append(name)
-    for coord in range(len(point)):
-        coefficients = {
-            flow_names[i]: generators[i][coord]
-            for i in range(len(generators))
-            if generators[i][coord] != 0
-        }
-        if not coefficients:
-            if point[coord] != 0:
-                return False
-            continue
-        lp.add_constraint(coefficients, EQ, point[coord])
-    return lp_solve(lp, backend=backend).status == Status.OPTIMAL
 
 
 def _membership_scipy(generator_array, point):
@@ -265,7 +243,8 @@ class Cone:
 
     # -- membership ------------------------------------------------------
     def _generator_array(self):
-        """Cached ``N x P`` float matrix of generators (scipy fast path)."""
+        """Cached ``N x P`` float matrix of generators (the HiGHS fast
+        path and the exact path's float proposal)."""
         import numpy as np
 
         if self._scipy_matrix is None:
@@ -283,9 +262,8 @@ class Cone:
         return self._scipy_model
 
     def contains(self, point, backend="exact"):
-        """Exact membership test via a feasibility LP over flows."""
-        from repro.lp import highs_fast
-
+        """Membership test: certified exact on ``"exact"``, HiGHS on
+        ``"scipy"``."""
         point = as_fraction_vector(point)
         if len(point) != self.ambient_dim:
             raise GeometryError(
@@ -295,6 +273,8 @@ class Cone:
         if not self.generators:
             return is_zero_vector(point)
         if backend == "scipy":
+            from repro.lp import highs_fast
+
             model = self._feasibility_model()
             if model is not None:
                 status = model.solve([float(v) for v in point])
@@ -304,7 +284,11 @@ class Cone:
                     return False
                 raise GeometryError("HiGHS membership solve failed")
             return _membership_scipy(self._generator_array(), point)
-        return _membership_lp_exact(self.generators, point, backend)
+        if backend != "exact":
+            raise LPError("unknown LP backend %r" % (backend,))
+        return point_in_cone(
+            self.generators, point, array=self._generator_array()
+        ).feasible
 
     def is_subset_of(self, other, backend="exact"):
         """True iff every generator of ``self`` lies in ``other``."""
@@ -317,7 +301,7 @@ class Cone:
         others = [g for i, g in enumerate(self.generators) if i != index]
         if not others:
             return False
-        return _membership_lp_exact(others, self.generators[index], "exact")
+        return point_in_cone(others, self.generators[index]).feasible
 
     def irredundant_generators(self, backend="exact"):
         """Generators with cone-interior members removed (Section 6,
@@ -378,7 +362,7 @@ class Cone:
                     np.array(rest, dtype=float).T, candidate
                 )
             else:
-                member = _membership_lp_exact(rest, candidate, backend)
+                member = point_in_cone(rest, candidate).feasible
             if member:
                 kept.pop(index)
             else:

@@ -13,17 +13,21 @@ library builds on:
 * assorted vector helpers (:func:`dot`, :func:`normalize_integer_vector`).
 
 Matrices are plain lists of lists of :class:`~fractions.Fraction`; vectors
-are lists of Fractions. This keeps the data model transparent and avoids
-any dependency on numpy for the exact path.
+are lists of Fractions. This keeps the data model transparent; numpy
+appears only as an int64 accelerator behind an overflow bound.
 
 :mod:`repro.linalg.intkernel` is the integer fast path underneath
 :func:`rank` and :func:`solve`: rows gcd-normalised to int tuples and
 eliminated fraction-free (Bareiss), exploiting Python's
 arbitrary-precision ints. The Fraction implementations remain the
-reference; both produce identical exact results.
+reference; both produce identical exact results. Its :class:`IntRows`
+runs exact integer matrix-vector products in numpy int64 while an
+explicit overflow bound holds, and in Python ints above it.
 """
 
 from repro.linalg.intkernel import (
+    INT64_MAX,
+    IntRows,
     as_int_rows,
     bareiss_rank,
     bareiss_rref,
@@ -52,6 +56,8 @@ from repro.linalg.matrix import (
 )
 
 __all__ = [
+    "INT64_MAX",
+    "IntRows",
     "as_fraction_matrix",
     "as_fraction_vector",
     "as_int_rows",

@@ -246,7 +246,50 @@ def int_dot(u, v):
     return total
 
 
+#: Largest int64 value. A numpy int64 dot product is exact while every
+#: partial sum stays within it.
+INT64_MAX = 2**63 - 1
+
+
+class IntRows:
+    """Integer rows with exact ``row . vector`` products.
+
+    The products run as one numpy int64 matvec while the overflow bound
+    ``max|row entry| * max|vector entry| * width`` holds (it bounds every
+    partial sum), and as Python ints above it. The int64 image is built
+    on first use and kept.
+    """
+
+    __slots__ = ("rows", "width", "max_abs", "_array")
+
+    def __init__(self, rows, width):
+        self.rows = rows
+        self.width = width
+        self.max_abs = max((abs(entry) for row in rows for entry in row), default=0)
+        self._array = None
+
+    def fits_int64(self, vector):
+        """Whether the int64 products with ``vector`` cannot overflow."""
+        bound = max((abs(value) for value in vector), default=0)
+        return (self.max_abs <= INT64_MAX
+                and self.max_abs * bound * self.width <= INT64_MAX)
+
+    def matvec(self, vector):
+        """``[row . vector for row in rows]`` as exact Python ints."""
+        if self.fits_int64(vector):
+            import numpy as np
+
+            if self._array is None:
+                self._array = np.array(self.rows, dtype=np.int64).reshape(
+                    len(self.rows), self.width
+                )
+            return (self._array @ np.array(vector, dtype=np.int64)).tolist()
+        return [int_dot(row, vector) for row in self.rows]
+
+
 __all__ = [
+    "INT64_MAX",
+    "IntRows",
     "as_int_rows",
     "bareiss_rank",
     "bareiss_solve",

@@ -11,6 +11,11 @@ its own solver stack:
 * :mod:`repro.lp.simplex` — an exact two-phase simplex over
   :class:`fractions.Fraction` with Bland's anti-cycling rule; feasibility
   answers contain no floating-point tolerance,
+* :mod:`repro.lp.certified` — exact point feasibility at float speed:
+  a numpy NNLS proposes, integer arithmetic certifies a flow witness or
+  a Farkas vector, and the Fraction simplex is the fallback and the
+  fuzz oracle. This is what ``backend="exact"`` means for point
+  verdicts,
 * :mod:`repro.lp.scipy_backend` — an optional float backend delegating to
   ``scipy.optimize.linprog`` (HiGHS), used for cross-checking and for
   speed on large instances,

@@ -1,8 +1,12 @@
 """Backend dispatch for linear programs.
 
-:func:`solve` is the single entry point used by the rest of the library.
-The default backend is the exact rational simplex; pass
-``backend="scipy"`` for the HiGHS float backend.
+:func:`solve` is the entry point for every modelled program: region
+feasibility, Farkas certificate LPs and violation supports. The default
+backend is the exact rational simplex; pass ``backend="scipy"`` for the
+HiGHS float backend. Point feasibility does not build a program on
+either backend. On ``"exact"`` it is a float proposal plus an exact
+certificate (:mod:`repro.lp.certified`), and it comes here, to the
+Fraction simplex, only as the fallback.
 """
 
 from repro.errors import LPError

@@ -103,7 +103,13 @@ def read_jsonl(path):
     trailing snapshot dict or ``None``.
     """
     raw = []
-    with open(path, "r", encoding="utf-8") as handle:
+    try:
+        handle = open(path, "r", encoding="utf-8")
+    except OSError as error:
+        raise AnalysisError(
+            "cannot read trace file %s: %s" % (path, error.strerror or error)
+        )
+    with handle:
         for line_number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:

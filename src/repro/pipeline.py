@@ -43,7 +43,8 @@ class CounterPoint:
         Counter ordering for model cones built from µDDs; defaults to
         each µDD's own counters.
     backend:
-        LP backend: ``"exact"`` (rational simplex; exact verdicts) or
+        LP backend: ``"exact"`` (exact verdicts: a float proposal with
+        an exact certificate, the rational simplex as fallback) or
         ``"scipy"`` (HiGHS; fast sweeps). This is the only ``backend``
         in the API: simulation (:mod:`repro.sim`) has a single path
         with no engine to choose.

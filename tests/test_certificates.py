@@ -100,3 +100,48 @@ def test_certificate_iff_infeasible(signatures, point):
         assert certificate.evaluate([v for v in point]) < 0
         for signature in cone.signatures:
             assert certificate.evaluate(list(signature)) >= 0
+
+
+def _fraction_certificate_check(signatures, normal, vector):
+    """The Fraction-arithmetic re-check the integer matvec replaced."""
+    from fractions import Fraction
+
+    def dot(u, v):
+        return sum(Fraction(a) * Fraction(b) for a, b in zip(u, v))
+
+    return dot(normal, vector) < 0 and all(
+        dot(normal, signature) >= 0 for signature in signatures
+    )
+
+
+def test_integer_certificate_check_matches_the_fraction_reference():
+    """Rationalised normals (denominators up to 10^6) and signatures up
+    to 10^12, on both sides of the int64 overflow bound."""
+    import random
+    from fractions import Fraction
+
+    from repro.cone.certificates import _is_valid_certificate
+
+    rng = random.Random(0)
+    for trial in range(300):
+        magnitude = rng.choice((3, 10**6, 10**12))
+        normal = [
+            Fraction(rng.randint(-9, 9), rng.randint(1, 10**6)) for _ in range(4)
+        ]
+        if not any(normal):
+            continue
+        signatures = [
+            tuple(rng.randint(0, magnitude) for _ in range(4))
+            for _ in range(rng.randint(1, 8))
+        ]
+        if trial % 2:
+            # Lean towards valid certificates: no signature touches a
+            # coordinate where the normal is negative.
+            signatures = [
+                tuple(0 if weight < 0 else entry for entry, weight in zip(row, normal))
+                for row in signatures
+            ]
+        cone = ModelCone(["a", "b", "c", "d"], signatures)
+        vector = [Fraction(rng.randint(0, 20), rng.randint(1, 3)) for _ in range(4)]
+        assert _is_valid_certificate(cone, normal, vector) == \
+            _fraction_certificate_check(signatures, normal, vector), trial

@@ -511,6 +511,13 @@ class TestCliTrace:
         summary = json.loads(capsys.readouterr().out)
         assert summary["phases"]["cone.deduce"] >= 1
 
+    def test_summarize_missing_file_is_a_repro_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.jsonl")
+        assert self._run(["trace", "summarize", missing]) == 2
+        error = capsys.readouterr().err
+        assert error.startswith("error: cannot read trace file")
+        assert "absent.jsonl" in error
+
     @staticmethod
     def _tiny_model(tmp_path):
         path = tmp_path / "model.dsl"
